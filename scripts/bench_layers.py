@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Time the array-layer operations at fixed jet orders; write BENCH_3.json.
+
+Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
+
+For ``revert``, ``inverse``, ``za_sequences``, ``multiply`` and
+``production_definitional`` on the catalog entry ``algebraic`` at jet orders
+16, 32 and 64, it records the median wall time over five calls and the
+largest numerator or denominator bit-length in the result.  The inputs are
+built before the timed calls.  The numbers go under ``runs[NAME]`` of
+BENCH_3.json at the repository root and other labels are kept, so the
+numbers of two source trees (say, a parent commit's ``src`` and this one's)
+sit side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENTRY = "algebraic"
+ORDERS = (16, 32, 64)
+REPEATS = 5
+OUT = ROOT / "BENCH_3.json"
+
+
+def _fractions(obj) -> list:
+    """Every rational in a result, through the public attributes."""
+    from expriordan.production import ZAPair
+    from expriordan.riordan import ExpRiordan, TriMatrix
+    from expriordan.series import Series
+
+    if isinstance(obj, Series):
+        return list(obj.coeffs)
+    if isinstance(obj, TriMatrix):
+        return [v for row in obj.rows for v in row]
+    if isinstance(obj, ExpRiordan):
+        return [*obj.g.coeffs, *obj.f.coeffs, *_fractions(obj.matrix)]
+    if isinstance(obj, ZAPair):
+        return [*obj.z.coeffs, *obj.a.coeffs]
+    raise TypeError(f"no rationals known for {type(obj).__name__}")
+
+
+def max_bits(obj) -> int:
+    return max(
+        max(q.numerator.bit_length(), q.denominator.bit_length())
+        for q in _fractions(obj)
+    )
+
+
+def measure() -> list[dict]:
+    from expriordan import catalog, production, riordan
+
+    rows = []
+    for n in ORDERS:
+        g, f = catalog.pair(ENTRY, n)
+        arr = riordan.build(g, f)
+        ops = {
+            "revert": lambda: f.revert(),
+            "inverse": lambda: riordan.inverse(arr),
+            "za_sequences": lambda: production.za_sequences(g, f),
+            "multiply": lambda: riordan.multiply(arr, arr),
+            "production_definitional": lambda: production.production_definitional(arr),
+        }
+        for name, op in ops.items():
+            times = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                result = op()
+                times.append(time.perf_counter() - start)
+            rows.append(
+                {
+                    "operation": name,
+                    "order": n,
+                    "median_s": round(statistics.median(times), 6),
+                    "bits": max_bits(result),
+                }
+            )
+            print(f"{name:24s} n={n:2d}  {rows[-1]['median_s']:.6f} s  {rows[-1]['bits']} bits")
+    return rows
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding expriordan")
+    ap.add_argument("--label", default="change", help="key of this run in the output")
+    args = ap.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+
+    results = measure()
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc.setdefault("script", "scripts/bench_layers.py")
+    doc.setdefault("entry", ENTRY)
+    doc.setdefault("orders", list(ORDERS))
+    doc.setdefault("runs", {})[args.label] = {
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} cores",
+        "repeats": REPEATS,
+        "results": results,
+    }
+    OUT.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

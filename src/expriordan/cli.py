@@ -328,14 +328,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_ranges(args) -> None:
+    """Reject numeric options below the smallest value a command can use.
+
+    A jet needs order 1 to hold f'(0) = 1, and ``produce`` reads its Jacobi
+    parameters off a 3x3 block, which takes order 2.
+    """
+    lows = {"order": 2 if getattr(args, "produce_pad", False) else 1, "n": 0, "depth": 1}
+    for name, low in lows.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise CliError(f"--{name} must be at least {low}, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         out = args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+    except (CliError, ValueError, ZeroDivisionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(out)

@@ -117,6 +117,8 @@ def hankel(seq: Sequence[Fraction], n: int) -> Fraction:
 
 def hankel_transform(seq: Sequence[Fraction], n_max: int) -> list[Fraction]:
     """[h_0, ..., h_{n_max}]."""
+    if len(seq) < 2 * n_max + 1:
+        raise ValueError(f"need {2 * n_max + 1} terms for h_0..h_{n_max}")
     return [hankel(seq, n) for n in range(n_max + 1)]
 
 

@@ -48,7 +48,10 @@ class TriMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.rows)
+        rows = tuple(
+            tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+            for row in self.rows
+        )
         dim = len(rows)
         if dim == 0 or any(len(row) != dim for row in rows):
             raise ValueError("matrix must be square and non-empty")

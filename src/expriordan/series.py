@@ -2,9 +2,15 @@
 
 A :class:`Series` is a jet of fixed order ``N``: the ordinary coefficients
 ``c_0 .. c_N`` of a power series truncated after ``x^N``.  Everything is
-computed over :class:`fractions.Fraction`; there is no floating point in
-this module.  Binary operations require operands of equal order -- mixing
-orders would silently discard precision, so it raises instead.  Use
+exact and there is no floating point in this module.  The coefficients are
+normalized :class:`fractions.Fraction` values; inside the kernels each
+operand becomes integer numerators over one common denominator, and the
+result is normalized once at the end.  Reversion is Newton iteration that
+doubles its working order at each step and checks that f(g) - x vanishes
+exactly before it returns.
+
+Binary operations require operands of equal order -- mixing orders would
+silently discard precision, so it raises instead.  Use
 :meth:`Series.truncate` when a shorter jet is genuinely wanted.
 
 The exponential-coefficient view of the same jet is ``n! * c_n``; the two
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -56,45 +62,72 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-list kernels (plain lists of Fractions, explicit truncation)
+# coefficient-list kernels
+#
+# Inputs and outputs are lists of Fractions with explicit truncation.  Inside,
+# each operand becomes integer numerators over one common denominator, so a
+# coefficient product is an integer product with no gcd; every result is
+# normalized once, when its Fractions are built.
 # ---------------------------------------------------------------------------
 
 
+def _scaled(a: Sequence[Fraction], n: int) -> tuple[list[int], int]:
+    """Integer numerators of ``a`` through x^n, zero-padded to n + 1 terms,
+    over the lcm of their denominators."""
+    a = a[: n + 1]
+    den = lcm(*(c.denominator for c in a))
+    return [c.numerator * (den // c.denominator) for c in a] + [0] * (n + 1 - len(a)), den
+
+
+def _conv(a: list[int], b: list[int], n: int) -> list[int]:
+    """Integer product of two coefficient lists, truncated after x^n."""
+    a = a[: n + 1] + [0] * (n + 1 - len(a))
+    rb = (b[: n + 1] + [0] * (n + 1 - len(b)))[::-1]
+    return [sum(map(int.__mul__, a[: k + 1], rb[n - k :])) for k in range(n + 1)]
+
+
 def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a):
-        if i > n:
-            break
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: n + 1 - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    an, ad = _scaled(a, n)
+    bn, bd = _scaled(b, n)
+    d = ad * bd
+    return [Fraction(v, d) for v in _conv(an, bn, n)]
 
 
 def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
     if not b or b[0] == 0:
         raise ZeroDivisionError("division by a series with zero constant term")
-    q = [Fraction(0)] * (n + 1)
+    an, ad = _scaled(a, n)
+    bn, bd = _scaled(b, n)
+    rb = bn[::-1]
+    b0 = bn[0]
+    p = b0 ** (n + 1)
+    # The k-th coefficient of an/bn has a denominator dividing b0^(k+1), so
+    # t_k = p * (an/bn)_k is an integer and the division by b0 is exact.
+    t: list[int] = []
     for k in range(n + 1):
-        s = a[k] if k < len(a) else Fraction(0)
-        for j in range(k):
-            if q[j]:
-                bk = b[k - j] if k - j < len(b) else Fraction(0)
-                s -= q[j] * bk
-        q[k] = s / b[0]
-    return q
+        t.append((an[k] * p - sum(map(int.__mul__, t, rb[n - k : n]))) // b0)
+    d = ad * p
+    return [Fraction(v * bd, d) for v in t]
 
 
 def _compose(outer: Sequence[Fraction], inner: Sequence[Fraction], n: int) -> list[Fraction]:
-    # Horner over truncated powers; requires inner[0] == 0.
-    res = [Fraction(0)] * (n + 1)
-    res[0] = outer[-1]
-    for k in range(len(outer) - 2, -1, -1):
-        res = _mul(res, inner, n)
-        res[0] += outer[k]
-    return res
+    # Horner's rule on integers, running value r/d.  It requires inner[0] == 0,
+    # so terms of outer above x^n contribute nothing, and the value taken up
+    # at outer[k] is later multiplied by inner^k: it is needed to order n - k.
+    on, od = _scaled(outer, n)
+    inn, idn = _scaled(inner, n)
+    r = [on[-1]]
+    d = 1
+    for k in range(len(on) - 2, -1, -1):
+        r = _conv(r, inn, n - k)
+        d *= idn
+        r[0] += on[k] * d
+        g = gcd(d, *r)
+        if g > 1:
+            r = [v // g for v in r]
+            d //= g
+    d *= od
+    return [Fraction(v, d) for v in r]
 
 
 def _derive(a: Sequence[Fraction]) -> list[Fraction]:
@@ -127,18 +160,26 @@ def _log(a: Sequence[Fraction], n: int) -> list[Fraction]:
 
 
 def _revert(f: Sequence[Fraction], n: int) -> list[Fraction]:
-    # Newton iteration g <- g - (f(g) - x)/f'(g), quadratic in the x-adic metric.
-    g = [Fraction(0)] * (n + 1)
-    g[1] = 1 / f[1]
+    # Newton iteration g <- g - (f(g) - x)/f'(g), quadratic in the x-adic
+    # metric: a g exact to order m is exact to order 2m + 1 after one step,
+    # so the working order doubles, 1 -> ... -> n >> 1 -> n.  The residual
+    # f(g) - x must vanish exactly at order n before g is returned.
     fp = _derive(f)
-    for _ in range(n.bit_length() + 3):
-        err = _compose(f, g, n)
-        err[1] -= 1
-        if not any(err):
-            return g
-        corr = _div(err, _compose(fp, g, n), n)
-        g = [gi - ci for gi, ci in zip(g, corr)]
-    raise AssertionError("Newton reversion failed to converge")
+    g = [Fraction(0), 1 / f[1]]
+    m = 1
+    for top in [n >> i for i in range(n.bit_length() - 2, -1, -1)]:
+        # f(g) - x vanishes through x^m, so f'(g) is needed only to order
+        # top - m - 1.
+        fg = _compose(f, g, top)
+        low = top - m - 1
+        corr = _div(fg[m + 1 :], _compose(fp, g, low), low)
+        g = g[: m + 1] + [-c for c in corr]
+        m = top
+    err = _compose(f, g, n)
+    err[1] -= 1
+    if any(err):
+        raise AssertionError("Newton reversion failed to converge")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +194,7 @@ class Series:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(self, "coeffs", coeffs)

@@ -31,6 +31,30 @@ def lagrange_revert(f: Series) -> Series:
     return Series(tuple(out))
 
 
+def naive_mul(a: Series, b: Series) -> Series:
+    """Truncated product by the schoolbook double loop over Fractions."""
+    return Series(tuple(_naive_product(a.coeffs, b.coeffs, a.order)))
+
+
+def naive_compose(outer: Series, inner: Series) -> Series:
+    """sum_k outer_k inner^k, with the powers built by the same double loop."""
+    n = outer.order
+    out = [Fraction(0)] * (n + 1)
+    power = [Fraction(1)] + [Fraction(0)] * n
+    for ck in outer.coeffs:
+        out = [o + ck * p for o, p in zip(out, power)]
+        power = _naive_product(power, inner.coeffs, n)
+    return Series(tuple(out))
+
+
+def _naive_product(a, b, n: int) -> list[Fraction]:
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
 def euler_numbers(n_max: int) -> list[Fraction]:
     """E_0, E_1, ..., E_{n_max} from sum_k C(2n, 2k) E_{2k} = 0 (n >= 1)."""
     e = [Fraction(0)] * (n_max + 1)

@@ -194,6 +194,28 @@ def test_hankel_insufficient_data_fails(capsys):
     code, _, err = run(capsys, "hankel", "--seq", "1,2,3", "--n", "4")
     assert code == 1
     assert "need" in err
+    # The diagnostic names the order that was asked for, not the first short one.
+    code, _, err = run(capsys, "hankel", "--seq", "1,2", "--n", "3")
+    assert code == 1
+    assert err == "error: need 7 terms for h_0..h_3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "tanh", "--n", "-3"),
+        ("hankel", "tanh", "--n", "-1"),
+        ("poly", "tanh", "--n", "-1"),
+        ("produce", "tanh", "--order", "1"),
+        ("array", "tanh", "--order", "0"),
+        ("cf", "gompertz", "--depth", "0"),
+    ],
+    ids=lambda argv: "_".join(argv).replace("--", ""),
+)
+def test_out_of_range_option_fails(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
 
 
 def test_id_and_spec_conflict(capsys):

@@ -1,12 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import jets, sigmoid_like, small_rationals, units
-from helpers import egf_convolution, euler_numbers, lagrange_revert
+from helpers import (
+    egf_convolution,
+    euler_numbers,
+    lagrange_revert,
+    naive_compose,
+    naive_mul,
+)
 
 from expriordan.series import (
+    Series,
     exp_series,
     format_rational,
     from_egf,
@@ -182,13 +190,35 @@ def test_revert_preconditions():
         series([0, 0, 1], order=4).revert()
 
 
-@given(f=sigmoid_like(7))
-@settings(max_examples=40)
-def test_revert_matches_lagrange_and_round_trips(f):
+# Reversion works at the orders ... n >> 2, n >> 1, n, so each order below
+# takes its own path: 1 -> 2 -> 4 -> 8, 1 -> 3 -> 6 -> 13, 1 -> 3 -> 7, ...
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 8, 13, 24])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_revert_matches_lagrange_and_round_trips(order, data):
+    f = data.draw(sigmoid_like(order))
     fbar = f.revert()
     assert fbar == lagrange_revert(f)
-    assert f.compose(fbar) == x(7)
-    assert fbar.compose(f) == x(7)
+    assert f.compose(fbar) == x(order)
+    assert fbar.compose(f) == x(order)
+
+
+mixed_rationals = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-50, max_value=50, max_denominator=60)
+)
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=9))
+@settings(max_examples=80)
+def test_mul_and_compose_match_naive_oracle(data, order):
+    def jet():
+        coeffs = st.lists(mixed_rationals, min_size=order + 1, max_size=order + 1)
+        return Series(tuple(data.draw(coeffs)))
+
+    a, b, c = jet(), jet(), jet()
+    inner = Series((F(0),) + c.coeffs[1:])
+    assert (a * b).coeffs == naive_mul(a, b).coeffs
+    assert a.compose(inner).coeffs == naive_compose(a, inner).coeffs
 
 
 @given(a=jets(5), b=sigmoid_like(5), c=sigmoid_like(5))

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Time the array-layer operations at fixed jet orders; write BENCH_3.json.
+"""Time the array-layer operations at fixed jet orders; write BENCH_5.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
-For ``revert``, ``inverse``, ``za_sequences``, ``multiply`` and
-``production_definitional`` on the catalog entry ``algebraic`` at jet orders
-16, 32 and 64, it records the median wall time over five calls and the
-largest numerator or denominator bit-length in the result.  The inputs are
-built before the timed calls.  The numbers go under ``runs[NAME]`` of
-BENCH_3.json at the repository root and other labels are kept, so the
-numbers of two source trees (say, a parent commit's ``src`` and this one's)
-sit side by side.
+For ``revert``, ``inverse``, ``za_sequences``, ``multiply``,
+``production_definitional``, ``mat_inverse`` and ``mat_mul`` (of the array's
+matrix with itself) on the catalog entry ``algebraic``, and for ``moments``
+m_0..m_n of the ``tanh`` entry's Jacobi recurrence, at n = 16, 32 and 64, it
+records the median wall time over five calls and the largest numerator or
+denominator bit-length in the result.  The inputs are built before the timed
+calls.  The numbers go under ``runs[NAME]`` of BENCH_5.json at the repository
+root and other labels are kept, so the numbers of two source trees (say, a
+parent commit's ``src`` and this one's) sit side by side.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "algebraic"
+MOMENTS_ENTRY = "tanh"
 ORDERS = (16, 32, 64)
 REPEATS = 5
-OUT = ROOT / "BENCH_3.json"
+OUT = ROOT / "BENCH_5.json"
 
 
 def _fractions(obj) -> list:
@@ -45,6 +47,8 @@ def _fractions(obj) -> list:
         return [*obj.g.coeffs, *obj.f.coeffs, *_fractions(obj.matrix)]
     if isinstance(obj, ZAPair):
         return [*obj.z.coeffs, *obj.a.coeffs]
+    if isinstance(obj, tuple):
+        return list(obj)
     raise TypeError(f"no rationals known for {type(obj).__name__}")
 
 
@@ -56,18 +60,22 @@ def max_bits(obj) -> int:
 
 
 def measure() -> list[dict]:
-    from expriordan import catalog, production, riordan
+    from expriordan import catalog, orthopoly, production, riordan
 
     rows = []
     for n in ORDERS:
         g, f = catalog.pair(ENTRY, n)
         arr = riordan.build(g, f)
+        rec = orthopoly.recurrence_from_jacobi(catalog.entry(MOMENTS_ENTRY).jacobi, n)
         ops = {
             "revert": lambda: f.revert(),
             "inverse": lambda: riordan.inverse(arr),
             "za_sequences": lambda: production.za_sequences(g, f),
             "multiply": lambda: riordan.multiply(arr, arr),
             "production_definitional": lambda: production.production_definitional(arr),
+            "mat_inverse": lambda: riordan.mat_inverse(arr.matrix),
+            "mat_mul": lambda: riordan.mat_mul(arr.matrix, arr.matrix),
+            "moments": lambda: orthopoly.moments(rec, n),
         }
         for name, op in ops.items():
             times = []
@@ -78,6 +86,7 @@ def measure() -> list[dict]:
             rows.append(
                 {
                     "operation": name,
+                    "entry": MOMENTS_ENTRY if name == "moments" else ENTRY,
                     "order": n,
                     "median_s": round(statistics.median(times), 6),
                     "bits": max_bits(result),

@@ -34,6 +34,7 @@ from .riordan import (
     multiply,
     row_polynomials,
     shift_apply,
+    solve_lower,
 )
 from .production import (
     JacobiParams,
@@ -49,7 +50,6 @@ from .orthopoly import (
     cf_to_ogf,
     coefficient_array,
     hankel,
-    hankel_formula_check,
     hankel_transform,
     jfraction,
     moments,

@@ -21,9 +21,9 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Optional
 
-from .production import JacobiParams, ZAPair
+from .production import JacobiParams, ZAPair, production_definitional, tridiagonal_params
 from .riordan import ExpRiordan, TriMatrix, build, from_rows, multiply
-from .series import Series, exp_series, log_series, one, pow_rational, series, x
+from .series import Series, exp_series, from_egf, log_series, one, pow_rational, series, x
 
 __all__ = [
     "CatalogEntry",
@@ -67,44 +67,24 @@ __all__ = [
 
 
 def sin_series(order: int) -> Series:
-    return Series(
-        tuple(
-            Fraction((-1) ** (k // 2), factorial(k)) if k % 2 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
+    return from_egf([(0, 1, 0, -1)[k % 4] for k in range(order + 1)])
 
 
 def cos_series(order: int) -> Series:
-    return Series(
-        tuple(
-            Fraction((-1) ** (k // 2), factorial(k)) if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
+    return from_egf([(1, 0, -1, 0)[k % 4] for k in range(order + 1)])
 
 
 def sinh_series(order: int) -> Series:
-    return Series(
-        tuple(
-            Fraction(1, factorial(k)) if k % 2 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
+    return from_egf([k % 2 for k in range(order + 1)])
 
 
 def cosh_series(order: int) -> Series:
-    return Series(
-        tuple(
-            Fraction(1, factorial(k)) if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
+    return from_egf([1 - k % 2 for k in range(order + 1)])
 
 
 def expx_series(order: int, scale: int = 1) -> Series:
     """e^{scale * x}."""
-    return Series(tuple(Fraction(scale**k, factorial(k)) for k in range(order + 1)))
+    return from_egf([scale**k for k in range(order + 1)])
 
 
 def tan_series(order: int) -> Series:
@@ -608,8 +588,6 @@ def gompertz_identities(n: int) -> bool:
 def gudermann_identities(order: int) -> bool:
     """[sech, gd] = [sech, tanh] . [1, arcsin], and [sech, tanh] is the
     moment array of the family with b_k = 0, lambda_k = -k^2."""
-    from .production import production_definitional, tridiagonal_params
-
     gud = build_entry("gudermann", order)
     moment_arr = build(sech_series(order), tanh_series(order))
     if multiply(moment_arr, build(one(order), arcsin_series(order))) != gud:
@@ -624,8 +602,6 @@ def erf_identity(order: int) -> bool:
     """[exp(-x^2), F] = [exp(-x^2), x] . [1, F] for F = int_0^x exp(-t^2) dt,
     and [exp(-x^2), x] is the moment array of the family with
     b_k = 0, lambda_k = -2k."""
-    from .production import production_definitional, tridiagonal_params
-
     erf_arr = build_entry("erf", order)
     hermite_like = build(gauss_series(order), x(order))
     if multiply(hermite_like, build(one(order), erf_integral_series(order))) != erf_arr:

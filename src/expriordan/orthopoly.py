@@ -6,19 +6,19 @@ A :class:`Recurrence` holds the data (b_k, lambda_k) of the monic family
     P_0 = 1,   P_1 = x - b_0,   P_n = (x - b_{n-1}) P_{n-1} - lambda_{n-1} P_{n-2}.
 
 "Formally orthogonal" is meant literally: lambda_k may be zero or negative.
-Moments are the first column of the inverse coefficient array; the Hankel
-transform is the determinant sequence h_n = det(m_{i+j}), 0 <= i,j <= n,
-computed by fraction-free (Bareiss) elimination.
+Moments are the first column of the inverse coefficient array, found by
+forward substitution on that one column; the Hankel transform is the
+determinant sequence h_n = det(m_{i+j}), 0 <= i,j <= n, computed by
+fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
-from .riordan import TriMatrix, from_rows, mat_inverse
+from .riordan import TriMatrix, from_rows, solve_lower
 from .series import Series, format_rational, one, series
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "moments",
     "hankel",
     "hankel_transform",
-    "hankel_formula_check",
-    "HANKEL_FORMULA_IDS",
     "jfraction",
     "cf_to_ogf",
     "recurrence_from_jacobi",
@@ -88,9 +86,10 @@ def coefficient_array(rec: Recurrence, n: int) -> TriMatrix:
 
 
 def moments(rec: Recurrence, n: int) -> tuple[Fraction, ...]:
-    """m_0..m_n: first column of the inverse of the coefficient array."""
-    inv = mat_inverse(coefficient_array(rec, n))
-    return inv.column(0)
+    """m_0..m_n: first column of the inverse of the coefficient array L,
+    the solution m of L . m = e_0."""
+    e0 = ((Fraction(1),),) + ((Fraction(0),),) * n
+    return tuple(row[0] for row in solve_lower(coefficient_array(rec, n), e0))
 
 
 def hankel(seq: Sequence[Fraction], n: int) -> Fraction:
@@ -120,52 +119,6 @@ def hankel_transform(seq: Sequence[Fraction], n_max: int) -> list[Fraction]:
     if len(seq) < 2 * n_max + 1:
         raise ValueError(f"need {2 * n_max + 1} terms for h_0..h_{n_max}")
     return [hankel(seq, n) for n in range(n_max + 1)]
-
-
-# -- closed-form Hankel products for the cataloged sequences ----------------
-
-HANKEL_FORMULA_IDS = ("sech2", "tanh", "sec2_moments")
-
-
-def _hankel_formula(kind: str, n: int) -> Fraction:
-    if kind == "sech2":
-        prod = Fraction(1)
-        for k in range(n + 1):
-            prod *= Fraction((k + 2) * (1 - (k + 2))) ** (n - k)
-        return prod
-    if kind == "sec2_moments":
-        prod = Fraction(1)
-        for k in range(n + 1):
-            prod *= Fraction((k + 1) * (k + 2)) ** (n - k)
-        return prod
-    if kind == "tanh":
-        parity = Fraction(1 - (-1) ** n, 2)
-        if parity == 0:
-            return Fraction(0)
-        prod = Fraction(1)
-        for k in range(n + 1):
-            prod *= Fraction(factorial(k)) ** 2
-        return prod * Fraction(-1) ** ((n + 1) // 2)
-    raise ValueError(f"unknown Hankel formula id: {kind!r}")
-
-
-def _formula_sequence(kind: str, order: int) -> tuple[Fraction, ...]:
-    from . import catalog  # the sequences are catalog data; import is one-way
-
-    if kind == "sech2":
-        return catalog.pair("tanh", order)[0].egf()
-    if kind == "tanh":
-        return catalog.pair("tanh", order)[1].egf()
-    if kind == "sec2_moments":
-        g_inv, _ = catalog.inverse_pair("arctan", order)
-        return g_inv.egf()
-    raise ValueError(f"unknown Hankel formula id: {kind!r}")
-
-
-def hankel_formula_check(kind: str, n_max: int) -> bool:
-    """Compare the closed product formula with the exact determinants."""
-    seq = _formula_sequence(kind, 2 * n_max)
-    return all(_hankel_formula(kind, n) == hankel(seq, n) for n in range(n_max + 1))
 
 
 # -- Jacobi continued fractions ---------------------------------------------

@@ -1,7 +1,7 @@
 """Production (Stieltjes) matrices of exponential Riordan arrays.
 
 Two independent routes are provided.  The definitional route solves
-``M . P = (M with its first row removed)`` by exact triangular inversion.
+``M . P = (M with its first row removed)`` by exact forward substitution.
 The analytic route builds P from the pair of sequences
 
     A(x) = f'(fbar(x)),        Z(x) = g'(fbar(x)) / g(fbar(x)),
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .riordan import ExpRiordan, TriMatrix, build, mat_inverse, mat_mul, shift_apply
+from .riordan import ExpRiordan, TriMatrix, _combine_rows, build, shift_apply, solve_lower
 from .series import Series, format_rational, x
 
 __all__ = [
@@ -87,14 +87,15 @@ class JacobiParams:
 
 
 def production_definitional(arr: ExpRiordan) -> TriMatrix:
-    """P = M^{-1} (U M) for the realized matrix M, leading N-by-N block.
+    """P with M . P = U . M for the realized matrix M, leading N-by-N block.
 
-    Only rows 0..N-1 of the product are determined by an order-N array, so
-    the returned block has dim N (one less than the matrix).
+    Only rows 0..N-1 of P are determined by an order-N array, so the block
+    has dim N (one less than the matrix): it solves M[:N,:N] . P = M[1:N+1,:N]
+    by forward substitution.
     """
     m = arr.matrix
-    p = mat_mul(mat_inverse(m), shift_apply(m))
-    return p.leading(m.dim - 1)
+    n = m.dim - 1
+    return TriMatrix(solve_lower(m.leading(n), tuple(row[:n] for row in m.rows[1:])))
 
 
 def za_sequences(g: Series, f: Series) -> ZAPair:
@@ -121,9 +122,9 @@ def production_analytic(za: ZAPair, dim: int) -> TriMatrix:
         for k in range(min(n + 1, dim - 1) + 1):
             v = Fraction(0)
             if 0 <= n - k <= za.z.order:
-                v += Fraction(facts[n], facts[k]) * za.z[n - k]
+                v += facts[n] // facts[k] * za.z[n - k]
             if k >= 1 and 0 <= n - k + 1 <= za.a.order:
-                v += Fraction(facts[n], facts[k - 1]) * za.a[n - k + 1]
+                v += facts[n] // facts[k - 1] * za.a[n - k + 1]
             row[k] = v
         rows.append(tuple(row))
     return TriMatrix(tuple(rows))
@@ -175,12 +176,5 @@ def power_first_row(p: TriMatrix, n: int) -> tuple[Fraction, ...]:
         raise ValueError("negative powers are not supported")
     row = [Fraction(1)] + [Fraction(0)] * (p.dim - 1)
     for _ in range(n):
-        nxt = [Fraction(0)] * p.dim
-        for k, rk in enumerate(row):
-            if rk:
-                prow = p.rows[k]
-                for j in range(min(k + 2, p.dim)):
-                    if prow[j]:
-                        nxt[j] += rk * prow[j]
-        row = nxt
+        row = _combine_rows(row, p.rows, [Fraction(0)] * p.dim)
     return tuple(row)

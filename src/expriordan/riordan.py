@@ -23,6 +23,7 @@ __all__ = [
     "from_rows",
     "mat_mul",
     "mat_inverse",
+    "solve_lower",
     "shift_apply",
     "build",
     "identity_array",
@@ -114,49 +115,70 @@ def from_rows(rows: Sequence[Sequence[object]]) -> TriMatrix:
 
 
 def identity_matrix(dim: int) -> TriMatrix:
+    zero, one = Fraction(0), Fraction(1)
     return TriMatrix(
-        tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-        )
+        tuple((zero,) * i + (one,) + (zero,) * (dim - i - 1) for i in range(dim))
     )
+
+
+def _combine_rows(
+    coeffs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]], out: list[Fraction]
+) -> list[Fraction]:
+    """Add sum_k coeffs[k] * rows[k] into ``out`` and return it, for rows
+    that are zero beyond the first superdiagonal (row k ends at column k+1)."""
+    width = len(out)
+    for k, c in enumerate(coeffs):
+        if c:
+            row = rows[k]
+            for j in range(min(k + 2, width)):
+                if row[j]:
+                    out[j] += c * row[j]
+    return out
 
 
 def mat_mul(a: TriMatrix, b: TriMatrix) -> TriMatrix:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
+    zero = Fraction(0)
+    return TriMatrix(
+        tuple(tuple(_combine_rows(row, b.rows, [zero] * a.dim)) for row in a.rows)
+    )
+
+
+def solve_lower(
+    a: TriMatrix, b: Sequence[Sequence[Fraction]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of X with a . X = b, by forward substitution.
+
+    ``a`` is lower-triangular with a nonzero diagonal; ``b`` has one row per
+    row of ``a``, all of one width and zero beyond the first superdiagonal,
+    and so has X.
+    """
+    if not a.is_lower_triangular():
+        raise ValueError("forward substitution requires a lower-triangular matrix")
     dim = a.dim
-    rows = []
-    for i in range(dim):
-        arow = a.rows[i]
-        out = [Fraction(0)] * dim
-        for k in range(dim):
-            aik = arow[k]
-            if aik:
-                brow = b.rows[k]
-                for j in range(min(k + 2, dim)):
-                    if brow[j]:
-                        out[j] += aik * brow[j]
-        rows.append(tuple(out))
-    return TriMatrix(tuple(rows))
+    if any(a.rows[i][i] == 0 for i in range(dim)):
+        raise ValueError("matrix has a zero diagonal entry")
+    if len(b) != dim:
+        raise ValueError(f"right-hand side has {len(b)} rows, need {dim}")
+    width = len(b[0])
+    for i, row in enumerate(b):
+        if len(row) != width or any(row[i + 2 :]):
+            raise ValueError(
+                f"right-hand side row {i} is ragged or has entries above the superdiagonal"
+            )
+    xs: list[tuple[Fraction, ...]] = []
+    for i, arow in enumerate(a.rows):
+        # x_i = (b_i - sum_{k<i} a_ik x_k) / a_ii
+        row = _combine_rows([-c for c in arow[:i]], xs, list(b[i]))
+        d = arow[i]
+        xs.append(tuple(row) if d == 1 else tuple(v / d for v in row))
+    return tuple(xs)
 
 
 def mat_inverse(a: TriMatrix) -> TriMatrix:
     """Exact inverse of a lower-triangular matrix with nonzero diagonal."""
-    if not a.is_lower_triangular():
-        raise ValueError("inverse requires a lower-triangular matrix")
-    dim = a.dim
-    if any(a.rows[i][i] == 0 for i in range(dim)):
-        raise ValueError("matrix has a zero diagonal entry")
-    inv = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        inv[i][i] = 1 / a.rows[i][i]
-        for j in range(i - 1, -1, -1):
-            s = Fraction(0)
-            for k in range(j, i):
-                if a.rows[i][k] and inv[k][j]:
-                    s += a.rows[i][k] * inv[k][j]
-            inv[i][j] = -s / a.rows[i][i]
-    return TriMatrix(tuple(tuple(row) for row in inv))
+    return TriMatrix(solve_lower(a, identity_matrix(a.dim).rows))
 
 
 def shift_apply(a: TriMatrix) -> TriMatrix:
@@ -219,7 +241,7 @@ def build(g: Series, f: Series) -> ExpRiordan:
         p = p * f
     rows = tuple(
         tuple(
-            Fraction(facts[i], facts[k]) * cols[k][i] if k <= i else Fraction(0)
+            facts[i] // facts[k] * cols[k][i] if k <= i else Fraction(0)
             for k in range(n + 1)
         )
         for i in range(n + 1)

@@ -359,16 +359,14 @@ def series(coeffs: Iterable[Union[Scalar, str]], order: int | None = None) -> Se
 
 def from_egf(coeffs: Iterable[Union[Scalar, str]], order: int | None = None) -> Series:
     """Build a Series from exponential coefficients a_n (so c_n = a_n/n!)."""
-    cs = [Fraction(c) for c in coeffs]
-    if order is not None:
-        if order + 1 < len(cs):
-            raise ValueError("more coefficients than the requested order allows")
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-    return Series(tuple(c / factorial(n) for n, c in enumerate(cs)))
+    cs = series(coeffs, order).coeffs
+    return Series(
+        tuple(Fraction(c.numerator, c.denominator * factorial(n)) for n, c in enumerate(cs))
+    )
 
 
 def x(order: int) -> Series:
-    return series([0, 1], order=order)
+    return series([0, 1][: order + 1], order=order)
 
 
 def one(order: int) -> Series:

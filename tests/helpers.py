@@ -3,7 +3,7 @@
 Everything here is deliberately independent of the implementation paths it
 checks: reversion is cross-checked by Lagrange inversion, moments by the
 Jacobi-matrix recurrence, J-fraction coefficients by Hankel determinant
-ratios, and so on.
+ratios, triangular solves by a schoolbook matrix product, and so on.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
+from expriordan import catalog
 from expriordan.orthopoly import Recurrence, hankel
 from expriordan.riordan import ExpRiordan, build
 from expriordan.series import Series, one, series
@@ -52,6 +53,20 @@ def _naive_product(a, b, n: int) -> list[Fraction]:
     for i in range(n + 1):
         for j in range(n + 1 - i):
             out[i + j] += a[i] * b[j]
+    return out
+
+
+def naive_mat_mul(a, b) -> list[list[Fraction]]:
+    """Product of two matrices given as lists of rows, by the schoolbook
+    loop over Fractions; ``b`` may be rectangular."""
+    out = []
+    for arow in a:
+        out.append(
+            [
+                sum((Fraction(arow[k]) * b[k][j] for k in range(len(b))), Fraction(0))
+                for j in range(len(b[0]))
+            ]
+        )
     return out
 
 
@@ -150,3 +165,47 @@ def random_riordan_pair(rng: random.Random, order: int) -> ExpRiordan:
         Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order - 1)
     ]
     return build(series(g), series(f))
+
+
+# -- closed-form Hankel products for the cataloged sequences ----------------
+
+HANKEL_FORMULA_IDS = ("sech2", "tanh", "sec2_moments")
+
+
+def _hankel_formula(kind: str, n: int) -> Fraction:
+    if kind == "sech2":
+        prod = Fraction(1)
+        for k in range(n + 1):
+            prod *= Fraction((k + 2) * (1 - (k + 2))) ** (n - k)
+        return prod
+    if kind == "sec2_moments":
+        prod = Fraction(1)
+        for k in range(n + 1):
+            prod *= Fraction((k + 1) * (k + 2)) ** (n - k)
+        return prod
+    if kind == "tanh":
+        parity = Fraction(1 - (-1) ** n, 2)
+        if parity == 0:
+            return Fraction(0)
+        prod = Fraction(1)
+        for k in range(n + 1):
+            prod *= Fraction(factorial(k)) ** 2
+        return prod * Fraction(-1) ** ((n + 1) // 2)
+    raise ValueError(f"unknown Hankel formula id: {kind!r}")
+
+
+def _formula_sequence(kind: str, order: int) -> tuple[Fraction, ...]:
+    if kind == "sech2":
+        return catalog.pair("tanh", order)[0].egf()
+    if kind == "tanh":
+        return catalog.pair("tanh", order)[1].egf()
+    if kind == "sec2_moments":
+        g_inv, _ = catalog.inverse_pair("arctan", order)
+        return g_inv.egf()
+    raise ValueError(f"unknown Hankel formula id: {kind!r}")
+
+
+def hankel_formula_check(kind: str, n_max: int) -> bool:
+    """Compare the closed product formula with the exact determinants."""
+    seq = _formula_sequence(kind, 2 * n_max)
+    return all(_hankel_formula(kind, n) == hankel(seq, n) for n in range(n_max + 1))

@@ -95,6 +95,15 @@ def test_stated_inverse_pairs():
         assert computed == stated, eid
 
 
+def test_order_zero_pairs():
+    for eid in ids():
+        sides = [pair(eid, 0)]
+        if entry(eid).inverse_g is not None:
+            sides.append(inverse_pair(eid, 0))
+        for g, f in sides:
+            assert (g.order, f.order) == (0, 0), eid
+
+
 def test_erf_has_no_closed_inverse():
     with pytest.raises(ValueError, match="no closed-form inverse"):
         inverse_pair("erf", 8)

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from helpers import jfraction_by_determinants, moments_by_jacobi_recurrence
+from helpers import (
+    hankel_formula_check,
+    jfraction_by_determinants,
+    moments_by_jacobi_recurrence,
+)
 
 from expriordan.catalog import pair, sec_series
 from expriordan.orthopoly import (
@@ -12,7 +16,6 @@ from expriordan.orthopoly import (
     cf_to_ogf,
     coefficient_array,
     hankel,
-    hankel_formula_check,
     hankel_transform,
     jfraction,
     moments,

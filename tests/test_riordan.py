@@ -5,9 +5,10 @@ from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from conftest import sigmoid_like
-from helpers import random_riordan_pair
+from helpers import naive_mat_mul, random_riordan_pair
 
 from expriordan.catalog import (
     arcsin_series,
@@ -33,6 +34,7 @@ from expriordan.riordan import (
     multiply,
     row_polynomials,
     shift_apply,
+    solve_lower,
 )
 from expriordan.series import Series, one, series, x
 
@@ -207,6 +209,57 @@ def test_mat_inverse_requires_triangular():
     hess = shift_apply(identity_matrix(4))
     with pytest.raises(ValueError, match="lower-triangular"):
         mat_inverse(hess)
+    with pytest.raises(ValueError, match="lower-triangular"):
+        solve_lower(hess, identity_matrix(4).rows)
+
+
+def test_zero_diagonal_rejected():
+    singular = from_rows([[1], [2, 0], [3, 4, 5]])
+    with pytest.raises(ValueError, match="zero diagonal entry"):
+        mat_inverse(singular)
+    with pytest.raises(ValueError, match="zero diagonal entry"):
+        solve_lower(singular, identity_matrix(3).rows)
+
+
+def test_solve_lower_rejects_bad_right_hand_side():
+    a = identity_matrix(3)
+    with pytest.raises(ValueError, match="need 3"):
+        solve_lower(a, ((1,), (0,)))
+    with pytest.raises(ValueError, match="ragged"):
+        solve_lower(a, ((1, 0), (0,), (0, 0)))
+    with pytest.raises(ValueError, match="above the superdiagonal"):
+        solve_lower(a, ((1, 0, 1), (0, 1, 0), (0, 0, 1)))
+
+
+_entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _lower_systems(draw):
+    """A lower-triangular a with nonzero, non-unit diagonal and a
+    lower-Hessenberg b of width dim, or of width 1."""
+    dim = draw(st.integers(1, 8))
+    diag = _entries.filter(lambda v: v not in (0, 1))
+    a = [
+        [draw(_entries) for _ in range(i)] + [draw(diag)] + [F(0)] * (dim - i - 1)
+        for i in range(dim)
+    ]
+    width = draw(st.sampled_from((1, dim)))
+    b = [
+        [draw(_entries) if j <= i + 1 else F(0) for j in range(width)]
+        for i in range(dim)
+    ]
+    return a, b
+
+
+@given(_lower_systems())
+@settings(max_examples=60, deadline=None)
+def test_solve_lower_matches_naive_product(system):
+    a, b = system
+    xs = solve_lower(from_rows(a), b)
+    assert naive_mat_mul(a, xs) == b
+    for i, row in enumerate(xs):
+        assert not any(row[i + 2 :])
 
 
 def test_band_violation_rejected():

@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Time the array-layer operations at fixed jet orders; write BENCH_5.json.
+"""Time the array and orthopoly layers at fixed jet orders; write BENCH_6.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
-For ``revert``, ``inverse``, ``za_sequences``, ``multiply``,
-``production_definitional``, ``mat_inverse`` and ``mat_mul`` (of the array's
-matrix with itself) on the catalog entry ``algebraic``, and for ``moments``
-m_0..m_n of the ``tanh`` entry's Jacobi recurrence, at n = 16, 32 and 64, it
-records the median wall time over five calls and the largest numerator or
-denominator bit-length in the result.  The inputs are built before the timed
-calls.  The numbers go under ``runs[NAME]`` of BENCH_5.json at the repository
-root and other labels are kept, so the numbers of two source trees (say, a
-parent commit's ``src`` and this one's) sit side by side.
+At n = 16, 32 and 64 it times ``revert``, ``inverse``, ``za_sequences``,
+``multiply``, ``production_definitional``, ``mat_inverse`` and ``mat_mul``
+(of the array's matrix with itself) on the catalog entry ``algebraic``; and,
+on the ``tanh`` entry's Jacobi recurrence, ``coefficient_array`` of degree n,
+``moments`` m_0..m_n, ``cf_to_ogf`` at depth n and order 2n, and
+``hankel_transform`` h_0..h_{n/2} of those moments.  For each it records the
+least wall time over five calls, which a busy machine can only raise, and
+the largest numerator or denominator bit-length in the result.  The inputs
+are built before the timed calls.  The numbers go under ``runs[NAME]`` of
+BENCH_6.json at the repository root and other labels are kept, so the
+numbers of two source trees (say, a parent commit's ``src`` and this one's)
+sit side by side.
 """
 
 from __future__ import annotations
@@ -20,17 +23,17 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "algebraic"
-MOMENTS_ENTRY = "tanh"
+JACOBI_ENTRY = "tanh"
+JACOBI_OPS = ("coefficient_array", "moments", "cf_to_ogf", "hankel_transform")
 ORDERS = (16, 32, 64)
 REPEATS = 5
-OUT = ROOT / "BENCH_5.json"
+OUT = ROOT / "BENCH_6.json"
 
 
 def _fractions(obj) -> list:
@@ -47,7 +50,7 @@ def _fractions(obj) -> list:
         return [*obj.g.coeffs, *obj.f.coeffs, *_fractions(obj.matrix)]
     if isinstance(obj, ZAPair):
         return [*obj.z.coeffs, *obj.a.coeffs]
-    if isinstance(obj, tuple):
+    if isinstance(obj, (tuple, list)):
         return list(obj)
     raise TypeError(f"no rationals known for {type(obj).__name__}")
 
@@ -66,7 +69,8 @@ def measure() -> list[dict]:
     for n in ORDERS:
         g, f = catalog.pair(ENTRY, n)
         arr = riordan.build(g, f)
-        rec = orthopoly.recurrence_from_jacobi(catalog.entry(MOMENTS_ENTRY).jacobi, n)
+        rec = orthopoly.recurrence_from_jacobi(catalog.entry(JACOBI_ENTRY).jacobi, n)
+        m = orthopoly.moments(rec, n)
         ops = {
             "revert": lambda: f.revert(),
             "inverse": lambda: riordan.inverse(arr),
@@ -75,7 +79,10 @@ def measure() -> list[dict]:
             "production_definitional": lambda: production.production_definitional(arr),
             "mat_inverse": lambda: riordan.mat_inverse(arr.matrix),
             "mat_mul": lambda: riordan.mat_mul(arr.matrix, arr.matrix),
+            "coefficient_array": lambda: orthopoly.coefficient_array(rec, n),
             "moments": lambda: orthopoly.moments(rec, n),
+            "cf_to_ogf": lambda: orthopoly.cf_to_ogf(rec, 2 * n, n),
+            "hankel_transform": lambda: orthopoly.hankel_transform(m, n // 2),
         }
         for name, op in ops.items():
             times = []
@@ -86,13 +93,13 @@ def measure() -> list[dict]:
             rows.append(
                 {
                     "operation": name,
-                    "entry": MOMENTS_ENTRY if name == "moments" else ENTRY,
+                    "entry": JACOBI_ENTRY if name in JACOBI_OPS else ENTRY,
                     "order": n,
-                    "median_s": round(statistics.median(times), 6),
+                    "min_s": round(min(times), 6),
                     "bits": max_bits(result),
                 }
             )
-            print(f"{name:24s} n={n:2d}  {rows[-1]['median_s']:.6f} s  {rows[-1]['bits']} bits")
+            print(f"{name:24s} n={n:2d}  {rows[-1]['min_s']:.6f} s  {rows[-1]['bits']} bits")
     return rows
 
 
@@ -108,6 +115,7 @@ def main() -> int:
     doc.setdefault("script", "scripts/bench_layers.py")
     doc.setdefault("entry", ENTRY)
     doc.setdefault("orders", list(ORDERS))
+    doc.setdefault("statistic", "least wall time over the repeats")
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",

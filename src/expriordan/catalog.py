@@ -211,27 +211,10 @@ def _tanh2_g(order: int) -> Series:
     return 1 - t * t
 
 
-def _geom_x2(order: int) -> Series:
-    """1/(1-x^2)."""
+def _geom_x2(c: int, order: int) -> Series:
+    """1/(1 - c x^2)."""
     return Series(
-        tuple(Fraction(1) if k % 2 == 0 else Fraction(0) for k in range(order + 1))
-    )
-
-
-def _geom_4x2(order: int) -> Series:
-    """1/(1-4x^2)."""
-    return Series(
-        tuple(Fraction(4 ** (k // 2)) if k % 2 == 0 else Fraction(0) for k in range(order + 1))
-    )
-
-
-def _alt_x2(order: int) -> Series:
-    """1/(1+x^2)."""
-    return Series(
-        tuple(
-            Fraction((-1) ** (k // 2)) if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)
-        )
+        tuple(Fraction(c ** (k // 2)) if k % 2 == 0 else Fraction(0) for k in range(order + 1))
     )
 
 
@@ -283,7 +266,7 @@ _register(
         f_series=tanh_series,
         f_eval=math.tanh,
         fprime_eval=lambda t: 1.0 / math.cosh(t) ** 2,
-        inverse_g=_geom_x2,
+        inverse_g=lambda n: _geom_x2(1, n),
         inverse_f=artanh_series,
         a_closed=lambda n: _poly([1, 0, -1], n),
         z_closed=lambda n: _poly([0, -2], n),
@@ -302,7 +285,7 @@ _register(
         f_series=_tanh2_f,
         f_eval=lambda t: 0.5 * math.tanh(2.0 * t),
         fprime_eval=lambda t: 1.0 / math.cosh(2.0 * t) ** 2,
-        inverse_g=_geom_4x2,
+        inverse_g=lambda n: _geom_x2(4, n),
         inverse_f=lambda n: artanh_series(n).scale_argument(2) / 2,
         a_closed=lambda n: _poly([1, 0, -4], n),
         z_closed=lambda n: _poly([0, -8], n),
@@ -317,7 +300,7 @@ _register(
         f_label="arctan(x)",
         notes="inverse-tangent sigmoid; the array is itself a coefficient array",
         is_sigmoid=True,
-        g_series=_alt_x2,
+        g_series=lambda n: _geom_x2(-1, n),
         f_series=arctan_series,
         f_eval=math.atan,
         fprime_eval=lambda t: 1.0 / (1.0 + t * t),

@@ -29,6 +29,14 @@ class CliError(Exception):
     """User-facing error: printed as a one-line diagnostic, exit status 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a CliError instead of printing the usage and
+    exiting with status 2; subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 # ---------------------------------------------------------------------------
 # input parsing
 # ---------------------------------------------------------------------------
@@ -267,7 +275,7 @@ def _add_array_source(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="expriordan",
         description="Exact exponential Riordan arrays for sigmoid pairs",
     )
@@ -342,8 +350,8 @@ def _check_ranges(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_ranges(args)
         out = args.func(args)
     except (CliError, ValueError, ZeroDivisionError, KeyError) as exc:

@@ -6,20 +6,20 @@ A :class:`Recurrence` holds the data (b_k, lambda_k) of the monic family
     P_0 = 1,   P_1 = x - b_0,   P_n = (x - b_{n-1}) P_{n-1} - lambda_{n-1} P_{n-2}.
 
 "Formally orthogonal" is meant literally: lambda_k may be zero or negative.
-Moments are the first column of the inverse coefficient array, found by
-forward substitution on that one column; the Hankel transform is the
-determinant sequence h_n = det(m_{i+j}), 0 <= i,j <= n, computed by
-fraction-free (Bareiss) elimination.
+The recurrence runs once, on integer numerators, for the coefficient array
+and, reversed, for the J-fraction convergents that give the moments; the
+Hankel transform h_n = det(m_{i+j}) is fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .riordan import TriMatrix, from_rows, solve_lower
-from .series import Series, format_rational, one, series
+from .riordan import TriMatrix, from_rows
+from .series import Series, format_rational, series
 
 __all__ = [
     "Recurrence",
@@ -44,13 +44,6 @@ class Recurrence:
         object.__setattr__(self, "b", tuple(Fraction(v) for v in self.b))
         object.__setattr__(self, "lam", tuple(Fraction(v) for v in self.lam))
 
-    def diagonal(self, k: int) -> Fraction:
-        return self.b[k]
-
-    def subdiagonal(self, k: int) -> Fraction:
-        """lambda_k (1-based, matching the recurrence index)."""
-        return self.lam[k - 1]
-
     def to_json(self) -> dict:
         return {
             "b": [format_rational(v) for v in self.b],
@@ -63,33 +56,40 @@ def recurrence_from_jacobi(params, n: int) -> Recurrence:
     return Recurrence(b=params.b_list(n), lam=params.lam_list(n))
 
 
+def _monic_numerators(b: tuple, lam: tuple, n: int) -> tuple[list[list[int]], int]:
+    """Integer rows of Q_k(y) = d^k P_k(y/d), k = 0..n, and d.  With d the lcm
+    of the denominators, Q_{k+1} = (y - d b_k) Q_k - d^2 lambda_k Q_{k-1}."""
+    b, lam = b[:n], lam[: max(n - 1, 0)]
+    d = lcm(*(v.denominator for v in (*b, *lam)))
+    db = [v.numerator * (d // v.denominator) for v in b]
+    d2lam = [0] + [v.numerator * (d // v.denominator) * d for v in lam]  # lambda_0 = 0
+    rows = [[], [1]]  # Q_{-1} = 0, Q_0 = 1
+    for bk, lk in zip(db, d2lam):
+        q, q1 = rows[-1], rows[-2]
+        rows.append([s - bk * c - lk * e for s, c, e in zip([0] + q, q + [0], q1 + [0, 0])])
+    return rows[1:], d
+
+
+def _require_degree(rec: Recurrence, n: int) -> None:
+    if not 0 <= n <= len(rec.b) or n - 1 > len(rec.lam):
+        raise ValueError(f"recurrence data too short for degree {n}")
+
+
 def coefficient_array(rec: Recurrence, n: int) -> TriMatrix:
     """Rows 0..n hold the coefficients of the monic polynomials P_0..P_n."""
-    if n > len(rec.b) or n - 1 > len(rec.lam):
-        raise ValueError(f"recurrence data too short for degree {n}")
-    rows: list[list[Fraction]] = [[Fraction(1)]]
-    if n >= 1:
-        rows.append([-rec.b[0], Fraction(1)])
-    for m in range(2, n + 1):
-        prev = rows[m - 1]
-        prev2 = rows[m - 2]
-        row = [Fraction(0)] * (m + 1)
-        for k, c in enumerate(prev):
-            row[k + 1] += c
-            row[k] -= rec.b[m - 1] * c
-        lam = rec.lam[m - 2]
-        if lam:
-            for k, c in enumerate(prev2):
-                row[k] -= lam * c
-        rows.append(row)
-    return from_rows(rows)
+    _require_degree(rec, n)
+    rows, d = _monic_numerators(rec.b, rec.lam, n)
+    scale = [d**i for i in range(n + 1)]
+    return from_rows(
+        [[Fraction(c, scale[k - j]) for j, c in enumerate(row)] for k, row in enumerate(rows)]
+    )
 
 
 def moments(rec: Recurrence, n: int) -> tuple[Fraction, ...]:
-    """m_0..m_n: first column of the inverse of the coefficient array L,
-    the solution m of L . m = e_0."""
-    e0 = ((Fraction(1),),) + ((Fraction(0),),) * n
-    return tuple(row[0] for row in solve_lower(coefficient_array(rec, n), e0))
+    """m_0..m_n, the first column of the inverse coefficient array: the OGF
+    coefficients of the J-fraction, fixed through x^n at depth ceil(n/2)."""
+    _require_degree(rec, n)
+    return cf_to_ogf(rec, n, (n + 1) // 2).coeffs
 
 
 def hankel(seq: Sequence[Fraction], n: int) -> Fraction:
@@ -158,26 +158,26 @@ def jfraction(m: Sequence[Fraction], depth: int) -> Recurrence:
     return Recurrence(b=tuple(b), lam=tuple(lam))
 
 
+def _reversed_top(b: tuple, lam: tuple, n: int, order: int) -> Series:
+    """x^n P_n(1/x) to order ``order``; its x^i term is [y^(n-i)] Q_n / d^i."""
+    rows, d = _monic_numerators(b, lam, n)
+    return series([Fraction(c, d**i) for i, c in enumerate(rows[n][::-1][: order + 1])], order)
+
+
 def cf_to_ogf(rec: Recurrence, order: int, depth: int | None = None) -> Series:
     """Order-``order`` truncation of the J-fraction
 
     1 / (1 - b_0 x - lambda_1 x^2 / (1 - b_1 x - lambda_2 x^2 / (...)))
 
-    using levels 0..depth-1 of ``rec``; correct to order >= 2*depth - 1.
+    using levels 0..depth-1 of ``rec``, lambda_depth when present, and tail 1;
+    correct to order >= 2*depth - 1.  That is the depth+1 convergent with
+    b_depth = 0: the reversed associated polynomial (the data shifted by one
+    level) over the reversed P_{depth+1} (Flajolet, Discrete Math. 32, 1980).
     """
     if depth is None:
         depth = len(rec.b)
-    if depth > len(rec.b):
-        raise ValueError(f"depth {depth} exceeds available b-coefficients")
-    tail = one(order)
-    x2 = series([0, 0, 1], order=order)
-    xs = series([0, 1], order=order)
-    for k in range(depth - 1, -1, -1):
-        lam_term = (
-            rec.lam[k] * x2 * tail if k < len(rec.lam) and rec.lam[k] else None
-        )
-        den = 1 - rec.b[k] * xs
-        if lam_term is not None:
-            den = den - lam_term
-        tail = 1 / den
-    return tail
+    if not 0 <= depth <= len(rec.b):
+        raise ValueError(f"depth {depth} is outside 0..{len(rec.b)}")
+    b = rec.b[:depth] + (Fraction(0),)
+    lam = (rec.lam + (Fraction(0),) * depth)[:depth]
+    return _reversed_top(b[1:], lam[1:], depth, order) / _reversed_top(b, lam, depth + 1, order)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .riordan import ExpRiordan, TriMatrix, _combine_rows, build, shift_apply, solve_lower
+from .riordan import ExpRiordan, TriMatrix, build, shift_apply, solve_lower
 from .series import Series, format_rational, x
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "production_analytic",
     "tridiagonal_params",
     "derivative_production_check",
-    "power_first_row",
 ]
 
 
@@ -168,13 +167,3 @@ def derivative_production_check(f: Series) -> TriMatrix:
     a = 1 / fbar.derive()  # equals f'(fbar); order N-1
     arr = build(a, x(a.order))
     return shift_apply(arr.matrix)
-
-
-def power_first_row(p: TriMatrix, n: int) -> tuple[Fraction, ...]:
-    """First row of P^n, exact for n <= dim-1 (band growth stays inside)."""
-    if n < 0:
-        raise ValueError("negative powers are not supported")
-    row = [Fraction(1)] + [Fraction(0)] * (p.dim - 1)
-    for _ in range(n):
-        row = _combine_rows(row, p.rows, [Fraction(0)] * p.dim)
-    return tuple(row)

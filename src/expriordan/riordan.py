@@ -106,12 +106,8 @@ class TriMatrix:
 
 def from_rows(rows: Sequence[Sequence[object]]) -> TriMatrix:
     """Build from ragged lower-triangle rows (short rows are zero-padded)."""
-    dim = len(rows)
-    full = []
-    for row in rows:
-        padded = [Fraction(v) for v in row] + [Fraction(0)] * (dim - len(row))
-        full.append(tuple(padded))
-    return TriMatrix(tuple(full))
+    zero = Fraction(0)
+    return TriMatrix(tuple(tuple(row) + (zero,) * (len(rows) - len(row)) for row in rows))
 
 
 def identity_matrix(dim: int) -> TriMatrix:

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the implementation paths it
 checks: reversion is cross-checked by Lagrange inversion, moments by the
 Jacobi-matrix recurrence, J-fraction coefficients by Hankel determinant
-ratios, triangular solves by a schoolbook matrix product, and so on.
+ratios, J-fraction expansions by one series division per level, triangular
+solves and matrix powers by schoolbook products, and so on.
 """
 
 from __future__ import annotations
@@ -104,6 +105,40 @@ def moments_by_jacobi_recurrence(rec: Recurrence, n: int) -> tuple[Fraction, ...
         row = nxt
         first.append(row[0])
     return tuple(first)
+
+
+def cf_to_ogf_by_levels(rec: Recurrence, order: int, depth: int | None = None) -> Series:
+    """Order-``order`` truncation of the J-fraction
+    1 / (1 - b_0 x - lambda_1 x^2 / (1 - ...)), one series division per
+    level from the innermost tail 1 outwards; needs order >= 2."""
+    if depth is None:
+        depth = len(rec.b)
+    if depth > len(rec.b):
+        raise ValueError(f"depth {depth} exceeds available b-coefficients")
+    tail = one(order)
+    x2 = series([0, 0, 1], order=order)
+    xs = series([0, 1], order=order)
+    for k in range(depth - 1, -1, -1):
+        lam_term = (
+            rec.lam[k] * x2 * tail if k < len(rec.lam) and rec.lam[k] else None
+        )
+        den = 1 - rec.b[k] * xs
+        if lam_term is not None:
+            den = den - lam_term
+        tail = 1 / den
+    return tail
+
+
+def power_first_row(p, n: int) -> tuple[Fraction, ...]:
+    """First row of P^n by the schoolbook row-times-matrix loop over
+    Fractions; exact for n <= dim-1 (band growth stays inside)."""
+    row = [Fraction(1)] + [Fraction(0)] * (p.dim - 1)
+    for _ in range(n):
+        row = [
+            sum((row[k] * p.rows[k][j] for k in range(p.dim)), Fraction(0))
+            for j in range(p.dim)
+        ]
+    return tuple(row)
 
 
 def shifted_hankel(seq, n: int) -> Fraction:

@@ -393,9 +393,9 @@ def test_criterion_8_documented_value_corrections():
     ok = logistic == tanh_series(n).scale_argument(F(1, 2)) / 2
     ok = ok and logistic.egf()[5] == F(1, 4)
 
-    # Gompertz moments: exact elimination of the coefficient array of the
-    # family with b_k = -k, lambda_k = -k, cross-checked against the series
-    # expansion of the first catalog column.  The result is
+    # Gompertz moments: the J-fraction expansion of the family with
+    # b_k = -k, lambda_k = -k, cross-checked against the series expansion of
+    # the first catalog column.  The result is
     # 1, 0, -1, 1, 2, -9, 9 -- not the concatenation-garbled
     # "1, 0, -1, 12, -9, 9".
     grec = Recurrence(b=tuple(-k for k in range(7)), lam=tuple(-k for k in range(1, 7)))

@@ -218,6 +218,31 @@ def test_out_of_range_option_fails(capsys, argv):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("array", "tanh", "--format", "yaml"),
+        ("moments",),
+        ("hankel", "tanh", "--n", "x"),
+        ("nonsense",),
+        (),
+    ],
+    ids=lambda argv: "_".join(argv).replace("--", "") or "empty",
+)
+def test_usage_error_is_one_line_and_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("array", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_id_and_spec_conflict(capsys):
     code, _, err = run(capsys, "array", "tanh", "--g", "1", "--f", "0,1")
     assert code == 1

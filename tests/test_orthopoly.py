@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from helpers import (
+    cf_to_ogf_by_levels,
     hankel_formula_check,
     jfraction_by_determinants,
     moments_by_jacobi_recurrence,
@@ -28,6 +29,8 @@ from expriordan.riordan import format_polynomial, mat_inverse
 TANH_PARAMS = JacobiParams(0, -2, 0, -1)
 ARCTAN_PARAMS = JacobiParams(0, 2, 0, 1)
 HERMITE_LIKE_PARAMS = JacobiParams(0, -2, 0, 0)
+# p/q with q in 1..3, so the integer recurrence meets a common denominator.
+RATIONALS = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 GOMPERTZ_REC = Recurrence(b=tuple(-k for k in range(10)), lam=tuple(-k for k in range(1, 10)))
 
 
@@ -80,6 +83,8 @@ def test_hermite_like_family_polynomials():
 def test_coefficient_array_requires_enough_data():
     with pytest.raises(ValueError, match="too short"):
         coefficient_array(Recurrence(b=(0,), lam=()), 2)
+    with pytest.raises(ValueError, match="too short"):
+        coefficient_array(Recurrence(b=(0,), lam=()), -1)
 
 
 def test_coefficient_array_unit_diagonal():
@@ -103,7 +108,7 @@ def test_identity_recurrence_moments():
 
 
 def test_gompertz_moments():
-    # Exact elimination of the coefficient array; cross-checked below by the
+    # The J-fraction expansion of the family; cross-checked below by the
     # Jacobi-recurrence route and by the series expansion of the first
     # catalog column.  A sometimes-quoted "1, 0, -1, 12, -9, 9" is a
     # corruption of these values.
@@ -121,19 +126,44 @@ def test_gompertz_p1_is_monic():
 
 
 @given(
-    b=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
-    lam=st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    b=st.lists(RATIONALS, min_size=8, max_size=8),
+    lam=st.lists(RATIONALS, min_size=7, max_size=7),
 )
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 def test_moment_routes_agree(b, lam):
-    rec = Recurrence(b=tuple(map(F, b)), lam=tuple(map(F, lam)))
-    assert moments(rec, 6) == moments_by_jacobi_recurrence(rec, 6)
+    rec = Recurrence(b=tuple(b), lam=tuple(lam))
+    for n in range(9):
+        assert moments(rec, n) == moments_by_jacobi_recurrence(rec, n)
+
+
+def test_moments_require_enough_data():
+    # m_4 needs only b_0, b_1, lambda_1 and lambda_2, but moments keeps the
+    # coefficient array's rule: degree n needs b_0..b_{n-1}, lambda_1..lambda_{n-1}.
+    with pytest.raises(ValueError, match="too short"):
+        moments(Recurrence(b=(0,) * 3, lam=(1,) * 3), 4)
+    with pytest.raises(ValueError, match="too short"):
+        moments(Recurrence(b=(0,) * 4, lam=(1,) * 2), 4)
+    with pytest.raises(ValueError, match="too short"):
+        moments(Recurrence(b=(0,) * 4, lam=(1,) * 3), -1)
+    assert moments(Recurrence(b=(0,) * 4, lam=(1,) * 3), 4) == (1, 0, 1, 0, 2)
+    assert moments(Recurrence(b=(), lam=()), 0) == (1,)
 
 
 def test_moment_matrix_first_column():
     rec = recurrence_from_jacobi(TANH_PARAMS, 6)
     inv = mat_inverse(coefficient_array(rec, 6))
     assert inv.column(0) == moments(rec, 6)
+
+
+@given(
+    b=st.lists(RATIONALS, min_size=6, max_size=6),
+    lam=st.lists(RATIONALS, min_size=5, max_size=5),
+)
+@settings(max_examples=30, deadline=None)
+def test_moment_matrix_first_column_rational(b, lam):
+    rec = Recurrence(b=tuple(b), lam=tuple(lam))
+    inv = mat_inverse(coefficient_array(rec, 6))
+    assert inv.column(0) == moments_by_jacobi_recurrence(rec, 6)
 
 
 def test_gram_orthogonality():
@@ -264,6 +294,32 @@ def test_cf_to_ogf_gompertz():
 def test_cf_to_ogf_catalan():
     rec = Recurrence(b=(0,) * 6, lam=(1,) * 6)
     assert cf_to_ogf(rec, 10).coeffs == (1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42)
+
+
+def test_cf_to_ogf_low_orders():
+    rec = Recurrence(b=(0, 0), lam=(1,))
+    assert cf_to_ogf(rec, 0).coeffs == (1,)
+    assert cf_to_ogf(rec, 1).coeffs == (1, 0)
+    with pytest.raises(ValueError, match="depth 3"):
+        cf_to_ogf(rec, 4, 3)
+
+
+@given(
+    b=st.lists(RATIONALS, max_size=6),
+    extra=st.integers(-2, 2),
+    lam=st.lists(RATIONALS, min_size=8, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_cf_to_ogf_matches_per_level_oracle(b, extra, lam):
+    # lambda data shorter than, as long as, or longer than b.
+    rec = Recurrence(b=tuple(b), lam=tuple(lam[: max(0, len(b) + extra)]))
+    for depth in range(len(b) + 1):
+        for order in range(3 * depth + 3):
+            got = cf_to_ogf(rec, order, depth)
+            # The oracle builds x^2, so it runs at order >= 2 and is truncated.
+            want = cf_to_ogf_by_levels(rec, max(order, 2), depth).truncate(order)
+            assert got.coeffs == want.coeffs
+    assert cf_to_ogf(rec, 9).coeffs == cf_to_ogf_by_levels(rec, 9).coeffs
 
 
 @given(

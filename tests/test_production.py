@@ -1,5 +1,7 @@
 import pytest
 
+from helpers import power_first_row
+
 from expriordan.catalog import (
     build_entry,
     build_inverse_entry,
@@ -12,7 +14,6 @@ from expriordan.production import (
     JacobiParams,
     ZAPair,
     derivative_production_check,
-    power_first_row,
     production_analytic,
     production_definitional,
     tridiagonal_params,

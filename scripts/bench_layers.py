@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the array and orthopoly layers at fixed jet orders; write BENCH_6.json.
+"""Time the array and orthopoly layers at fixed jet orders; write BENCH_7.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
@@ -7,12 +7,14 @@ At n = 16, 32 and 64 it times ``revert``, ``inverse``, ``za_sequences``,
 ``multiply``, ``production_definitional``, ``mat_inverse`` and ``mat_mul``
 (of the array's matrix with itself) on the catalog entry ``algebraic``; and,
 on the ``tanh`` entry's Jacobi recurrence, ``coefficient_array`` of degree n,
-``moments`` m_0..m_n, ``cf_to_ogf`` at depth n and order 2n, and
-``hankel_transform`` h_0..h_{n/2} of those moments.  For each it records the
+``moments`` m_0..m_n, ``cf_to_ogf`` at depth n and order 2n,
+``hankel_transform`` h_0..h_{n/2} and ``jfraction`` at depth n/2 of those
+moments, and ``hankel_transform_f_egf``, h_0..h_{n/2} of the EGF of the
+entry's f, whose m_0 = 0 takes the zero-pivot route.  For each it records the
 least wall time over five calls, which a busy machine can only raise, and
 the largest numerator or denominator bit-length in the result.  The inputs
 are built before the timed calls.  The numbers go under ``runs[NAME]`` of
-BENCH_6.json at the repository root and other labels are kept, so the
+BENCH_7.json at the repository root and other labels are kept, so the
 numbers of two source trees (say, a parent commit's ``src`` and this one's)
 sit side by side.
 """
@@ -30,14 +32,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "algebraic"
 JACOBI_ENTRY = "tanh"
-JACOBI_OPS = ("coefficient_array", "moments", "cf_to_ogf", "hankel_transform")
+JACOBI_OPS = (
+    "coefficient_array",
+    "moments",
+    "cf_to_ogf",
+    "hankel_transform",
+    "jfraction",
+    "hankel_transform_f_egf",
+)
 ORDERS = (16, 32, 64)
 REPEATS = 5
-OUT = ROOT / "BENCH_6.json"
+OUT = ROOT / "BENCH_7.json"
 
 
 def _fractions(obj) -> list:
     """Every rational in a result, through the public attributes."""
+    from expriordan.orthopoly import Recurrence
     from expriordan.production import ZAPair
     from expriordan.riordan import ExpRiordan, TriMatrix
     from expriordan.series import Series
@@ -50,6 +60,8 @@ def _fractions(obj) -> list:
         return [*obj.g.coeffs, *obj.f.coeffs, *_fractions(obj.matrix)]
     if isinstance(obj, ZAPair):
         return [*obj.z.coeffs, *obj.a.coeffs]
+    if isinstance(obj, Recurrence):
+        return [*obj.b, *obj.lam]
     if isinstance(obj, (tuple, list)):
         return list(obj)
     raise TypeError(f"no rationals known for {type(obj).__name__}")
@@ -71,6 +83,7 @@ def measure() -> list[dict]:
         arr = riordan.build(g, f)
         rec = orthopoly.recurrence_from_jacobi(catalog.entry(JACOBI_ENTRY).jacobi, n)
         m = orthopoly.moments(rec, n)
+        tanh_f = catalog.pair(JACOBI_ENTRY, n)[1].egf()
         ops = {
             "revert": lambda: f.revert(),
             "inverse": lambda: riordan.inverse(arr),
@@ -83,6 +96,8 @@ def measure() -> list[dict]:
             "moments": lambda: orthopoly.moments(rec, n),
             "cf_to_ogf": lambda: orthopoly.cf_to_ogf(rec, 2 * n, n),
             "hankel_transform": lambda: orthopoly.hankel_transform(m, n // 2),
+            "jfraction": lambda: orthopoly.jfraction(m, n // 2),
+            "hankel_transform_f_egf": lambda: orthopoly.hankel_transform(tanh_f, n // 2),
         }
         for name, op in ops.items():
             times = []

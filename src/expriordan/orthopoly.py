@@ -8,7 +8,9 @@ A :class:`Recurrence` holds the data (b_k, lambda_k) of the monic family
 "Formally orthogonal" is meant literally: lambda_k may be zero or negative.
 The recurrence runs once, on integer numerators, for the coefficient array
 and, reversed, for the J-fraction convergents that give the moments; the
-Hankel transform h_n = det(m_{i+j}) is fraction-free (Bareiss) elimination.
+Hankel transform h_n = det(m_{i+j}) and the J-fraction of a moment sequence
+are read off one fraction-free (Bareiss) elimination of its integer-scaled
+Hankel matrix.
 """
 
 from __future__ import annotations
@@ -92,45 +94,66 @@ def moments(rec: Recurrence, n: int) -> tuple[Fraction, ...]:
     return cf_to_ogf(rec, n, (n + 1) // 2).coeffs
 
 
-def hankel(seq: Sequence[Fraction], n: int) -> Fraction:
-    """det(m_{i+j})_{0<=i,j<=n} by fraction-free Bareiss elimination."""
-    if len(seq) < 2 * n + 1:
-        raise ValueError(f"need {2 * n + 1} terms for the order-{n} determinant")
-    a = [[Fraction(seq[i + j]) for j in range(n + 1)] for i in range(n + 1)]
-    prev = Fraction(1)
+def _bareiss(seq: Sequence[Fraction], n: int, pivot: bool) -> tuple[list[list[int]], int]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the integer
+    matrix c (m_{i+j})_{0<=i,j<=n}, c the lcm of the denominators; returns its
+    rows and c.  Row k is reduced by steps 0..k-1, so a[k][k] = c^{k+1} h_k and
+    a[k][k+1] is c^{k+1} times the minor h_k with column k replaced by column
+    k+1.  The pass stops at the first zero pivot; with ``pivot`` a lower row,
+    negated, takes its place, which keeps only the last pivot a leading minor."""
+    if n < 0:
+        raise ValueError(f"Hankel order {n} is negative")
+    terms = [Fraction(v) for v in seq[: 2 * n + 1]]
+    c = lcm(*(v.denominator for v in terms))
+    ints = [v.numerator * (c // v.denominator) for v in terms]
+    a = [ints[i : i + n + 1] for i in range(n + 1)]
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n + 1) if a[r][k] != 0), None)
+            swap = next((r for r in range(k + 1, n + 1) if a[r][k]), None) if pivot else None
             if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            a[k] = [-v for v in a[k]]  # keep the determinant's sign
-        pivot = a[k][k]
-        for i in range(k + 1, n + 1):
-            for j in range(k + 1, n + 1):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = pivot
-    return a[n][n]
+                return a[: k + 1], c
+            a[k], a[swap] = [-v for v in a[swap]], a[k]  # keep the determinant's sign
+        top, p = a[k], a[k][k]
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(v * p - f * w) // prev for v, w in zip(row[k + 1 :], top[k + 1 :])]
+        prev = p
+    return a, c
+
+
+def hankel(seq: Sequence[Fraction], n: int) -> Fraction:
+    """det(m_{i+j})_{0<=i,j<=n}: the last pivot of the elimination with row swaps."""
+    if len(seq) < 2 * n + 1:
+        raise ValueError(f"need {2 * n + 1} terms for the order-{n} determinant")
+    a, c = _bareiss(seq, n, pivot=True)
+    return Fraction(a[n][n], c ** (n + 1)) if len(a) > n else Fraction(0)
 
 
 def hankel_transform(seq: Sequence[Fraction], n_max: int) -> list[Fraction]:
-    """[h_0, ..., h_{n_max}]."""
+    """[h_0, ..., h_{n_max}]: the pivots of one elimination pass and, past its
+    first zero pivot (m_0 = 0 for tanh), :func:`hankel` for each further n."""
     if len(seq) < 2 * n_max + 1:
         raise ValueError(f"need {2 * n_max + 1} terms for h_0..h_{n_max}")
-    return [hankel(seq, n) for n in range(n_max + 1)]
+    a, c = _bareiss(seq, n_max, pivot=False)
+    return [Fraction(a[k][k], c ** (k + 1)) for k in range(len(a))] + [
+        hankel(seq, n) for n in range(len(a), n_max + 1)
+    ]
 
 
 # -- Jacobi continued fractions ---------------------------------------------
 
 
 def jfraction(m: Sequence[Fraction], depth: int) -> Recurrence:
-    """Expand the OGF of ``m`` as a J-fraction, peeling one level at a time.
+    """Expand the OGF of ``m`` as a J-fraction by Hankel determinant ratios.
 
-    Returns b_0..b_{depth-1} and lambda_1..lambda_depth.  Each level costs
-    two orders of the input, so ``m`` must supply at least 2*depth + 1
-    terms.  A vanishing lambda_k before the requested depth means some
-    leading Hankel determinant is zero; that raises rather than guessing.
+    Returns b_0..b_{depth-1} and lambda_1..lambda_depth: lambda_n =
+    h_n h_{n-2} / h_{n-1}^2 and b_n = e_n - e_{n-1}, with e_n the minor h_n
+    with column n replaced by column n+1, over h_n.  All are read off one
+    elimination pass over the (depth+1)-square Hankel matrix, where the
+    powers of its scale cancel.  ``m`` must supply at least 2*depth + 1
+    terms.  A vanishing h_k before the requested depth means a vanishing
+    lambda_k; that raises rather than guessing.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -138,24 +161,18 @@ def jfraction(m: Sequence[Fraction], depth: int) -> Recurrence:
         raise ValueError(f"need {2 * depth + 1} moments for depth {depth}")
     if m[0] != 1:
         raise ValueError("moment sequence must start with m_0 = 1")
-    b: list[Fraction] = []
-    lam: list[Fraction] = []
-    cur = series(m)
-    for level in range(depth):
-        rem = 1 - 1 / cur  # equals b_k x + lambda_{k+1} x^2 * (next level)
-        b.append(rem[1])
-        tail = tuple(rem.coeffs[2:])
-        lam_next = tail[0] if tail else Fraction(0)
-        lam.append(lam_next)
-        if level == depth - 1:
-            break
-        if lam_next == 0:
-            raise ValueError(
-                f"vanishing Hankel determinant at depth {level + 1}; "
-                "the J-fraction terminates early"
-            )
-        cur = series(tuple(v / lam_next for v in tail))
-    return Recurrence(b=tuple(b), lam=tuple(lam))
+    a, _ = _bareiss(m, depth, pivot=False)
+    if len(a) <= depth:
+        raise ValueError(
+            f"vanishing Hankel determinant at depth {len(a) - 1}; "
+            "the J-fraction terminates early"
+        )
+    h = [1] + [a[k][k] for k in range(depth + 1)]  # h[k + 1] = c^{k+1} h_k, h_{-1} = 1
+    e = [0] + [Fraction(a[k][k + 1], a[k][k]) for k in range(depth)]
+    return Recurrence(
+        b=tuple(e[k + 1] - e[k] for k in range(depth)),
+        lam=tuple(Fraction(h[k + 1] * h[k - 1], h[k] ** 2) for k in range(1, depth + 1)),
+    )
 
 
 def _reversed_top(b: tuple, lam: tuple, n: int, order: int) -> Series:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the implementation paths it
 checks: reversion is cross-checked by Lagrange inversion, moments by the
-Jacobi-matrix recurrence, J-fraction coefficients by Hankel determinant
-ratios, J-fraction expansions by one series division per level, triangular
-solves and matrix powers by schoolbook products, and so on.
+Jacobi-matrix recurrence, Hankel determinants by Gaussian elimination over
+Fractions, J-fraction coefficients by determinant ratios and by peeling one
+level per series division, J-fraction expansions by one series division per
+level, triangular solves and matrix powers by schoolbook products, and so on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from expriordan import catalog
-from expriordan.orthopoly import Recurrence, hankel
+from expriordan.orthopoly import Recurrence
 from expriordan.riordan import ExpRiordan, build
 from expriordan.series import Series, one, series
 
@@ -141,6 +142,11 @@ def power_first_row(p, n: int) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
+def hankel_det(seq, n: int) -> Fraction:
+    """det of (m_{i+j})_{0<=i,j<=n} by Gaussian elimination over Fractions."""
+    return _det([[Fraction(seq[i + j]) for j in range(n + 1)] for i in range(n + 1)])
+
+
 def shifted_hankel(seq, n: int) -> Fraction:
     """det of (m_{i+j}) with the last column replaced by m_{i+n+1}."""
     size = n + 1
@@ -177,7 +183,7 @@ def jfraction_by_determinants(seq, depth: int) -> Recurrence:
     lambda_n = h_n h_{n-2} / h_{n-1}^2,  b_n = e_n - e_{n-1} with
     e_n the ratio of the column-shifted determinant to h_n.
     Valid while the leading determinants stay nonzero."""
-    h = [hankel(seq, n) for n in range(depth + 1)]
+    h = [hankel_det(seq, n) for n in range(depth + 1)]
     lam = []
     for n in range(1, depth + 1):
         below = h[n - 2] if n >= 2 else Fraction(1)
@@ -188,6 +194,40 @@ def jfraction_by_determinants(seq, depth: int) -> Recurrence:
         e_n = shifted_hankel(seq, n) / h[n]
         b.append(e_n - prev_e)
         prev_e = e_n
+    return Recurrence(b=tuple(b), lam=tuple(lam))
+
+
+def jfraction_by_levels(m, depth: int) -> Recurrence:
+    """Expand the OGF of ``m`` as a J-fraction, peeling one level at a time.
+
+    Returns b_0..b_{depth-1} and lambda_1..lambda_depth.  Each level costs
+    two orders of the input, so ``m`` must supply at least 2*depth + 1
+    terms.  A vanishing lambda_k before the requested depth means some
+    leading Hankel determinant is zero; that raises rather than guessing.
+    """
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    if len(m) < 2 * depth + 1:
+        raise ValueError(f"need {2 * depth + 1} moments for depth {depth}")
+    if m[0] != 1:
+        raise ValueError("moment sequence must start with m_0 = 1")
+    b: list[Fraction] = []
+    lam: list[Fraction] = []
+    cur = series(m)
+    for level in range(depth):
+        rem = 1 - 1 / cur  # equals b_k x + lambda_{k+1} x^2 * (next level)
+        b.append(rem[1])
+        tail = tuple(rem.coeffs[2:])
+        lam_next = tail[0] if tail else Fraction(0)
+        lam.append(lam_next)
+        if level == depth - 1:
+            break
+        if lam_next == 0:
+            raise ValueError(
+                f"vanishing Hankel determinant at depth {level + 1}; "
+                "the J-fraction terminates early"
+            )
+        cur = series(tuple(v / lam_next for v in tail))
     return Recurrence(b=tuple(b), lam=tuple(lam))
 
 
@@ -243,4 +283,4 @@ def _formula_sequence(kind: str, order: int) -> tuple[Fraction, ...]:
 def hankel_formula_check(kind: str, n_max: int) -> bool:
     """Compare the closed product formula with the exact determinants."""
     seq = _formula_sequence(kind, 2 * n_max)
-    return all(_hankel_formula(kind, n) == hankel(seq, n) for n in range(n_max + 1))
+    return all(_hankel_formula(kind, n) == hankel_det(seq, n) for n in range(n_max + 1))

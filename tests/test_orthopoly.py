@@ -6,11 +6,14 @@ import hypothesis.strategies as st
 
 from helpers import (
     cf_to_ogf_by_levels,
+    hankel_det,
     hankel_formula_check,
     jfraction_by_determinants,
+    jfraction_by_levels,
     moments_by_jacobi_recurrence,
 )
 
+from expriordan import catalog
 from expriordan.catalog import pair, sec_series
 from expriordan.orthopoly import (
     Recurrence,
@@ -31,6 +34,8 @@ ARCTAN_PARAMS = JacobiParams(0, 2, 0, 1)
 HERMITE_LIKE_PARAMS = JacobiParams(0, -2, 0, 0)
 # p/q with q in 1..3, so the integer recurrence meets a common denominator.
 RATIONALS = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+# p/q with q in 1..4, so the Hankel matrix is scaled by a nontrivial lcm.
+HANKEL_TERMS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
 GOMPERTZ_REC = Recurrence(b=tuple(-k for k in range(10)), lam=tuple(-k for k in range(1, 10)))
 
 
@@ -200,6 +205,46 @@ def test_hankel_of_zero_sequence():
 def test_hankel_needs_enough_terms():
     with pytest.raises(ValueError, match="need 5 terms"):
         hankel([1, 2, 3], 2)
+    with pytest.raises(ValueError, match="need 5 terms"):
+        hankel_transform([1, 2, 3], 2)
+
+
+def test_hankel_rejects_negative_order():
+    with pytest.raises(ValueError, match="^Hankel order -1 is negative$"):
+        hankel([1, 2, 3], -1)
+    with pytest.raises(ValueError, match="^Hankel order -1 is negative$"):
+        hankel_transform([1, 2, 3], -1)
+
+
+@st.composite
+def hankel_sequences(draw, max_n=6, extra=0, starts=(None, 0)):
+    """(seq, n): 2n+1+extra rational terms, with forced zeros, m_0 drawn from
+    ``starts`` (None keeps it), and sometimes m_{2k} moved so that h_k = 0
+    for a middle k."""
+    n = draw(st.integers(0, max_n))
+    seq = draw(st.lists(HANKEL_TERMS, min_size=2 * n + 1 + extra, max_size=2 * n + 1 + extra))
+    for i in draw(st.sets(st.integers(0, len(seq) - 1), max_size=3)):
+        seq[i] = F(0)
+    start = draw(st.sampled_from(starts))
+    if start is not None:
+        seq[0] = F(start)
+    if n >= 2 and draw(st.booleans()):
+        # h_k = h_k|_{m_2k = 0} + m_2k h_{k-1}: m_2k sits only at entry (k, k).
+        k = draw(st.integers(1, n - 1))
+        below = hankel_det(seq, k - 1)
+        if below:
+            seq[2 * k] -= hankel_det(seq, k) / below
+            assert hankel_det(seq, k) == 0
+    return seq, n
+
+
+@given(hankel_sequences())
+@settings(max_examples=150, deadline=None)
+def test_hankel_transform_matches_determinants(case):
+    seq, n = case
+    want = [hankel_det(seq, k) for k in range(n + 1)]
+    assert hankel_transform(seq, n) == want
+    assert hankel(seq, n) == want[n]
 
 
 def test_hankel_formula_checks():
@@ -217,21 +262,39 @@ def test_sec2_moment_hankel_example():
     assert hankel(m, 2) == 24  # (1*2)^2 * (2*3)^1
 
 
+def _heilermann(m0, lam, n_max: int) -> list[F]:
+    """h_n = m_0^{n+1} prod_{k=1..n} lambda_k^{n+1-k} for n = 0..n_max."""
+    out = []
+    for n in range(n_max + 1):
+        expected = F(m0) ** (n + 1)
+        for k in range(1, n + 1):
+            expected *= lam[k - 1] ** (n + 1 - k)
+        out.append(expected)
+    return out
+
+
 @given(
-    b=st.lists(st.integers(-2, 2), min_size=8, max_size=8),
-    lam=st.lists(st.integers(-2, 2), min_size=7, max_size=7),
+    b=st.lists(st.integers(-2, 2), min_size=14, max_size=14),
+    lam=st.lists(st.integers(-2, 2), min_size=13, max_size=13),
 )
 @settings(max_examples=30)
 def test_hankel_jacobi_product_identity(b, lam):
     # h_n = prod_{k=1..n} lambda_k^{n+1-k} for the moments of any monic
     # three-term family, vanishing lambdas included.
     rec = Recurrence(b=tuple(map(F, b)), lam=tuple(map(F, lam)))
-    m = moments(rec, 8)
-    for n in range(1, 5):
-        expected = F(1)
-        for k in range(1, n + 1):
-            expected *= rec.lam[k - 1] ** (n + 1 - k)
-        assert hankel(m, n) == expected
+    m = moments(rec, 14)
+    assert hankel_transform(m, 7) == _heilermann(1, rec.lam, 7)
+
+
+@pytest.mark.parametrize(
+    "eid",
+    [e for e in catalog.ids() if catalog.entry(e).jacobi or catalog.entry(e).inverse_jacobi],
+)
+def test_catalog_hankel_transform_is_heilermann_product(eid):
+    ent = catalog.entry(eid)
+    rec = recurrence_from_jacobi(ent.jacobi or ent.inverse_jacobi, 48)
+    m = moments(rec, 48)
+    assert hankel_transform(m, 24) == _heilermann(m[0], rec.lam, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +341,26 @@ def test_jfraction_short_input_raises():
 def test_jfraction_vanishing_determinant_raises():
     with pytest.raises(ValueError, match="vanishing Hankel determinant"):
         jfraction([1, 0, 0, 0, 0, 0, 0], 3)
+
+
+def _outcome(expand, m, depth):
+    try:
+        rec = expand(m, depth)
+    except ValueError as exc:
+        return str(exc)
+    return rec.b, rec.lam
+
+
+@given(
+    hankel_sequences(max_n=5, extra=1, starts=(1, 1, 1, 1, 1, 1, None, 0)),
+    st.sampled_from((0, 0, 0, 0, 0, 1)),
+)
+@settings(max_examples=150, deadline=None)
+def test_jfraction_matches_per_level_oracle(case, short):
+    # Depth n leaves one spare term; depth n + 1 runs one term short.
+    m, depth = case
+    depth += short
+    assert _outcome(jfraction, m, depth) == _outcome(jfraction_by_levels, m, depth)
 
 
 def test_cf_to_ogf_trivial():

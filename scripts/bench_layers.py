@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time the array and orthopoly layers at fixed jet orders; write BENCH_7.json.
+"""Time the array and orthopoly layers at fixed jet orders; write BENCH_8.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
-At n = 16, 32 and 64 it times ``revert``, ``inverse``, ``za_sequences``,
-``multiply``, ``production_definitional``, ``mat_inverse`` and ``mat_mul``
-(of the array's matrix with itself) on the catalog entry ``algebraic``; and,
+At n = 16, 32 and 64 it times ``revert``, ``compose`` (f with its inverse),
+``build``, ``inverse``, ``za_sequences``, ``multiply``,
+``production_definitional``, ``production_analytic`` (the (n-1)-square block
+from the (Z, A) pair), ``mat_inverse`` and ``mat_mul`` (of the array's matrix
+with itself) on the catalog entry ``algebraic``; and,
 on the ``tanh`` entry's Jacobi recurrence, ``coefficient_array`` of degree n,
 ``moments`` m_0..m_n, ``cf_to_ogf`` at depth n and order 2n,
 ``hankel_transform`` h_0..h_{n/2} and ``jfraction`` at depth n/2 of those
@@ -14,7 +16,7 @@ entry's f, whose m_0 = 0 takes the zero-pivot route.  For each it records the
 least wall time over five calls, which a busy machine can only raise, and
 the largest numerator or denominator bit-length in the result.  The inputs
 are built before the timed calls.  The numbers go under ``runs[NAME]`` of
-BENCH_7.json at the repository root and other labels are kept, so the
+BENCH_8.json at the repository root and other labels are kept, so the
 numbers of two source trees (say, a parent commit's ``src`` and this one's)
 sit side by side.
 """
@@ -42,7 +44,7 @@ JACOBI_OPS = (
 )
 ORDERS = (16, 32, 64)
 REPEATS = 5
-OUT = ROOT / "BENCH_7.json"
+OUT = ROOT / "BENCH_8.json"
 
 
 def _fractions(obj) -> list:
@@ -81,15 +83,20 @@ def measure() -> list[dict]:
     for n in ORDERS:
         g, f = catalog.pair(ENTRY, n)
         arr = riordan.build(g, f)
+        fbar = f.revert()
+        za = production.za_sequences(g, f)
         rec = orthopoly.recurrence_from_jacobi(catalog.entry(JACOBI_ENTRY).jacobi, n)
         m = orthopoly.moments(rec, n)
         tanh_f = catalog.pair(JACOBI_ENTRY, n)[1].egf()
         ops = {
             "revert": lambda: f.revert(),
+            "compose": lambda: f.compose(fbar),
+            "build": lambda: riordan.build(g, f),
             "inverse": lambda: riordan.inverse(arr),
             "za_sequences": lambda: production.za_sequences(g, f),
             "multiply": lambda: riordan.multiply(arr, arr),
             "production_definitional": lambda: production.production_definitional(arr),
+            "production_analytic": lambda: production.production_analytic(za, n - 1),
             "mat_inverse": lambda: riordan.mat_inverse(arr.matrix),
             "mat_mul": lambda: riordan.mat_mul(arr.matrix, arr.matrix),
             "coefficient_array": lambda: orthopoly.coefficient_array(rec, n),

@@ -103,29 +103,22 @@ def sech_series(order: int) -> Series:
     return 1 / cosh_series(order)
 
 
+def _ogf(term: Callable[[int], Fraction | int], order: int) -> Series:
+    """The series with ordinary coefficients term(0), ..., term(order)."""
+    return Series(tuple(term(k) for k in range(order + 1)))
+
+
 def arctan_series(order: int) -> Series:
-    return Series(
-        tuple(
-            Fraction((-1) ** (k // 2), k) if k % 2 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
+    return _ogf(lambda k: Fraction((-1) ** (k // 2), k) if k % 2 else 0, order)
 
 
 def artanh_series(order: int) -> Series:
-    return Series(
-        tuple(Fraction(1, k) if k % 2 else Fraction(0) for k in range(order + 1))
-    )
+    return _ogf(lambda k: Fraction(1, k) if k % 2 else 0, order)
 
 
 def arcsin_series(order: int) -> Series:
-    return Series(
-        tuple(
-            Fraction(comb(k - 1, (k - 1) // 2), 4 ** ((k - 1) // 2) * k)
-            if k % 2
-            else Fraction(0)
-            for k in range(order + 1)
-        )
+    return _ogf(
+        lambda k: Fraction(comb(k - 1, k // 2), 4 ** (k // 2) * k) if k % 2 else 0, order
     )
 
 
@@ -136,33 +129,18 @@ def gd_series(order: int) -> Series:
 
 def gauss_series(order: int) -> Series:
     """exp(-x^2)."""
-    return Series(
-        tuple(
-            Fraction((-1) ** (k // 2), factorial(k // 2)) if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
+    return _ogf(lambda k: 0 if k % 2 else Fraction((-1) ** (k // 2), factorial(k // 2)), order)
 
 
 def erf_integral_series(order: int) -> Series:
     """int_0^x exp(-t^2) dt = (sqrt(pi)/2) erf(x)."""
-    return Series(
-        tuple(
-            Fraction((-1) ** ((k - 1) // 2), factorial((k - 1) // 2) * k)
-            if k % 2
-            else Fraction(0)
-            for k in range(order + 1)
-        )
+    return _ogf(
+        lambda k: Fraction((-1) ** (k // 2), factorial(k // 2) * k) if k % 2 else 0, order
     )
 
 
 def log1p_series(order: int) -> Series:
-    return Series(
-        tuple(
-            Fraction((-1) ** (k + 1), k) if k >= 1 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
+    return _ogf(lambda k: Fraction((-1) ** (k + 1), k) if k else 0, order)
 
 
 def _poly(coeffs: list[int], order: int) -> Series:
@@ -213,9 +191,7 @@ def _tanh2_g(order: int) -> Series:
 
 def _geom_x2(c: int, order: int) -> Series:
     """1/(1 - c x^2)."""
-    return Series(
-        tuple(Fraction(c ** (k // 2)) if k % 2 == 0 else Fraction(0) for k in range(order + 1))
-    )
+    return _ogf(lambda k: 0 if k % 2 else c ** (k // 2), order)
 
 
 def _gompertz_f(order: int) -> Series:

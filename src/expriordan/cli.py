@@ -23,6 +23,9 @@ from .riordan import (
 from .series import Series, format_rational, from_egf, series
 
 DEFAULT_ORDER = 16
+# Largest --order, --n and --depth accepted: the largest size the tests and
+# benchmarks use.  At 64, `hankel tanh --n` takes seconds; at 128, minutes.
+MAX_SIZE = 64
 
 
 class CliError(Exception):
@@ -57,22 +60,19 @@ def _series_from_spec(text: str, order: int, egf: bool) -> Series:
     return maker(coeffs, order=order)
 
 
-def _resolve_array(args) -> tuple[str, "object"]:
-    """Build the requested array from an id or an explicit (g, f) spec."""
-    order = args.order
+def _resolve_array(args, order: int) -> tuple[str, "object"]:
+    """Build the requested array, at jet order ``order``, from an id or an
+    explicit (g, f) spec."""
     if args.id is not None:
         if args.g or args.f:
             raise CliError("give either a catalog id or --g/--f, not both")
-        try:
-            arr = catalog.build_entry(args.id, order + 1 if args.produce_pad else order)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0])) from None
+        arr = catalog.build_entry(args.id, order)
         name = args.id
     else:
         if not (args.g and args.f):
             raise CliError("need a catalog id or both --g and --f")
-        g = _series_from_spec(args.g, order + 1 if args.produce_pad else order, args.egf)
-        f = _series_from_spec(args.f, order + 1 if args.produce_pad else order, args.egf)
+        g = _series_from_spec(args.g, order, args.egf)
+        f = _series_from_spec(args.f, order, args.egf)
         try:
             arr = build(g, f)
         except ValueError as exc:
@@ -131,12 +131,13 @@ def _cmd_list(args) -> str:
 
 
 def _cmd_array(args) -> str:
-    name, arr = _resolve_array(args)
+    name, arr = _resolve_array(args, args.order)
     return _emit_matrix(arr.matrix, name, args.format)
 
 
 def _cmd_produce(args) -> str:
-    name, arr = _resolve_array(args)
+    # An order-N array determines the N-square block of its production matrix.
+    name, arr = _resolve_array(args, args.order + 1)
     p = production.production_definitional(arr)
     params = production.tridiagonal_params(p)
     if args.format == "json":
@@ -159,16 +160,7 @@ def _cmd_produce(args) -> str:
 def _entry_sequence(args, length: int) -> tuple[Fraction, ...]:
     """EGF coefficient sequence of the chosen part of a catalog entry."""
     order = max(args.order, length)
-    try:
-        g, f = (
-            catalog.inverse_pair(args.id, order)
-            if args.inverse
-            else catalog.pair(args.id, order)
-        )
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    g, f = catalog.inverse_pair(args.id, order) if args.inverse else catalog.pair(args.id, order)
     return (f if args.of == "f" else g).egf()
 
 
@@ -179,11 +171,7 @@ def _cmd_hankel(args) -> str:
         seq = _entry_sequence(args, 2 * args.n)
     else:
         raise CliError("need a catalog id or --seq")
-    try:
-        values = orthopoly.hankel_transform(seq, args.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return _emit_sequence(values, args.format)
+    return _emit_sequence(orthopoly.hankel_transform(seq, args.n), args.format)
 
 
 def _cmd_moments(args) -> str:
@@ -192,7 +180,7 @@ def _cmd_moments(args) -> str:
 
 
 def _cmd_poly(args) -> str:
-    name, arr = _resolve_array(args)
+    name, arr = _resolve_array(args, args.order)
     fam = row_polynomials(arr)
     count = args.n + 1
     if count > len(fam):
@@ -214,10 +202,7 @@ def _cmd_poly(args) -> str:
 
 def _cmd_cf(args) -> str:
     seq = _entry_sequence(args, 2 * args.depth)
-    try:
-        rec = orthopoly.jfraction(seq, args.depth)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    rec = orthopoly.jfraction(seq, args.depth)
     if args.format == "json":
         return json.dumps(rec.to_json())
     b = ", ".join(format_rational(v) for v in rec.b)
@@ -234,14 +219,8 @@ def _cmd_cf(args) -> str:
 
 
 def _cmd_plotdata(args) -> str:
-    try:
-        e = catalog.entry(args.id)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from None
-    try:
-        grid = catalog.SampleGrid(t_min=args.tmin, t_max=args.tmax, samples=args.samples)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    e = catalog.entry(args.id)
+    grid = catalog.SampleGrid(t_min=args.tmin, t_max=args.tmax, samples=args.samples)
     if args.kind == "curve":
         rows = catalog.sample_curve(e, grid)
         header = "t,f,fprime"
@@ -258,12 +237,11 @@ def _cmd_plotdata(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, produce_pad: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="jet order (default 16)")
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
-    p.set_defaults(produce_pad=produce_pad)
 
 
 def _add_array_source(p: argparse.ArgumentParser) -> None:
@@ -291,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("produce", help="print the production matrix")
     _add_array_source(p)
-    _add_common(p, produce_pad=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_produce)
 
     p = sub.add_parser("hankel", help="Hankel transform of an EGF expansion")
@@ -337,16 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    """Reject numeric options below the smallest value a command can use.
+    """Reject size options below the smallest value a command can use, or
+    above MAX_SIZE.
 
     A jet needs order 1 to hold f'(0) = 1, and ``produce`` reads its Jacobi
     parameters off a 3x3 block, which takes order 2.
     """
-    lows = {"order": 2 if getattr(args, "produce_pad", False) else 1, "n": 0, "depth": 1}
+    lows = {"order": 2 if args.command == "produce" else 1, "n": 0, "depth": 1}
     for name, low in lows.items():
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise CliError(f"--{name} must be at least {low}, got {value}")
+        if value is not None and value > MAX_SIZE:
+            raise CliError(f"--{name} must be at most {MAX_SIZE}, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -355,7 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         _check_ranges(args)
         out = args.func(args)
     except (CliError, ValueError, ZeroDivisionError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message itself.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
     print(out)
     return 0

@@ -4,9 +4,10 @@ Two independent routes are provided.  The definitional route solves
 ``M . P = (M with its first row removed)`` by exact forward substitution.
 The analytic route builds P from the pair of sequences
 
-    A(x) = f'(fbar(x)),        Z(x) = g'(fbar(x)) / g(fbar(x)),
+    A(x) = f'(fbar(x)) = 1/fbar'(x),    Z(x) = g'(fbar(x)) / g(fbar(x)),
 
-via ``P[n][k] = (n!/k!) z_{n-k} + (n!/(k-1)!) a_{n-k+1}``.  A tridiagonal
+via ``P[n][k] = (n!/k!) z_{n-k} + (n!/(k-1)!) a_{n-k+1}``: the array
+``[Z, x]`` plus ``[A, x]`` moved one column right.  A tridiagonal
 production matrix is equivalent to the generating form
 ``e^{xy} (alpha + beta x + y (1 + gamma x + delta x^2))`` and is returned
 as :class:`JacobiParams`, the data of a monic three-term recurrence.
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
-from .riordan import ExpRiordan, TriMatrix, build, shift_apply, solve_lower
+from .riordan import ExpRiordan, TriMatrix, _realize, build, shift_apply, solve_lower
 from .series import Series, format_rational, x
 
 __all__ = [
@@ -101,9 +101,10 @@ def za_sequences(g: Series, f: Series) -> ZAPair:
     """A = f'(fbar), Z = g'(fbar)/g(fbar); the results have order N-1."""
     if g.order != f.order:
         raise ValueError(f"order mismatch: {g.order} != {f.order}")
-    fbar = f.revert().truncate(f.order - 1)
-    a = f.derive().compose(fbar)
-    z = g.derive().compose(fbar) / g.truncate(g.order - 1).compose(fbar)
+    fbar = f.revert()
+    g_fbar = g.compose(fbar)
+    a = 1 / fbar.derive()  # = f'(fbar), and (g(fbar))' = fbar' g'(fbar)
+    z = a * g_fbar.derive() / g_fbar.truncate(g.order - 1)
     return ZAPair(z=z, a=a)
 
 
@@ -114,19 +115,9 @@ def production_analytic(za: ZAPair, dim: int) -> TriMatrix:
             f"dim {dim} needs z to order {dim - 1} and a to order {dim}, "
             f"have {za.z.order} and {za.a.order}"
         )
-    facts = [factorial(i) for i in range(dim)]
-    rows = []
-    for n in range(dim):
-        row = [Fraction(0)] * dim
-        for k in range(min(n + 1, dim - 1) + 1):
-            v = Fraction(0)
-            if 0 <= n - k <= za.z.order:
-                v += facts[n] // facts[k] * za.z[n - k]
-            if k >= 1 and 0 <= n - k + 1 <= za.a.order:
-                v += facts[n] // facts[k - 1] * za.a[n - k + 1]
-            row[k] = v
-        rows.append(tuple(row))
-    return TriMatrix(tuple(rows))
+    zs = _realize(za.z.coeffs, (0, 1), dim - 1)
+    a_s = _realize(za.a.coeffs, (0, 1), dim - 1)
+    return TriMatrix([[v + w if w else v for v, w in zip(zr, [0, *ar])] for zr, ar in zip(zs, a_s)])
 
 
 def tridiagonal_params(p: TriMatrix) -> JacobiParams | None:

@@ -1,9 +1,9 @@
 """Exponential Riordan arrays and exact triangular matrix algebra.
 
 The array ``[g, f]`` built from series g (g(0)=1) and f (f(0)=0, f'(0)=1)
-has entries ``t[n][k] = (n!/k!) [x^n] g(x) f(x)^k``.  Arrays carry both the
-generating pair and the realized matrix; the group law is computed on the
-series side and the matrix side gives an independent cross-check.
+has entries ``t[n][k] = (n!/k!) [x^n] g(x) f(x)^k``, read off the power table
+g (f/x)^k.  Arrays carry both the generating pair and the realized matrix;
+the group law is computed on the series side and the matrix side checks it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .series import Series, format_rational, one, x
+from .series import Series, _powers, format_rational, one, x
 
 __all__ = [
     "TriMatrix",
@@ -228,21 +228,17 @@ def build(g: Series, f: Series) -> ExpRiordan:
         raise ValueError("f must have constant term 0")
     if f.order < 1 or f[1] != 1:
         raise ValueError("f must have linear coefficient 1")
-    n = g.order
+    return ExpRiordan(g=g, f=f, matrix=TriMatrix(_realize(g.coeffs, f.coeffs, g.order)))
+
+
+def _realize(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[list[Fraction]]:
+    """Rows of the (n+1)-square block t[i][k] = (i!/k!) [x^(i-k)] g (f/x)^k."""
     facts = [factorial(i) for i in range(n + 1)]
-    cols: list[tuple[Fraction, ...]] = []
-    p = g
-    for _k in range(n + 1):
-        cols.append(p.coeffs)
-        p = p * f
-    rows = tuple(
-        tuple(
-            facts[i] // facts[k] * cols[k][i] if k <= i else Fraction(0)
-            for k in range(n + 1)
-        )
-        for i in range(n + 1)
-    )
-    return ExpRiordan(g=g, f=f, matrix=TriMatrix(rows))
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for k, (r, d) in enumerate(_powers(g, f, n)):
+        for i, v in enumerate(r, k):
+            rows[i][k] = Fraction(facts[i] // facts[k] * v, d)
+    return rows
 
 
 def identity_array(order: int) -> ExpRiordan:

@@ -5,9 +5,9 @@ A :class:`Series` is a jet of fixed order ``N``: the ordinary coefficients
 exact and there is no floating point in this module.  The coefficients are
 normalized :class:`fractions.Fraction` values; inside the kernels each
 operand becomes integer numerators over one common denominator, and the
-result is normalized once at the end.  Reversion is Newton iteration that
-doubles its working order at each step and checks that f(g) - x vanishes
-exactly before it returns.
+result is normalized once at the end.  Composition and the columns of an
+exponential Riordan array read one table of powers (f/x)^k.  Reversion is
+Newton iteration that doubles its working order and checks f(g) = x exactly.
 
 Binary operations require operands of equal order -- mixing orders would
 silently discard precision, so it raises instead.  Use
@@ -80,10 +80,12 @@ def _scaled(a: Sequence[Fraction], n: int) -> tuple[list[int], int]:
 
 
 def _conv(a: list[int], b: list[int], n: int) -> list[int]:
-    """Integer product of two coefficient lists, truncated after x^n."""
+    """Integer product of two coefficient lists, truncated after x^n; b may be short."""
     a = a[: n + 1] + [0] * (n + 1 - len(a))
-    rb = (b[: n + 1] + [0] * (n + 1 - len(b)))[::-1]
-    return [sum(map(int.__mul__, a[: k + 1], rb[n - k :])) for k in range(n + 1)]
+    rb = b[: n + 1][::-1]
+    m = len(rb) - 1
+    head = [sum(map(int.__mul__, a[: k + 1], rb[m - k :])) for k in range(min(m, n + 1))]
+    return head + [sum(map(int.__mul__, a[k - m : k + 1], rb)) for k in range(max(m, 0), n + 1)]
 
 
 def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
@@ -110,24 +112,32 @@ def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
     return [Fraction(v * bd, d) for v in t]
 
 
+def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[tuple[list[int], int]]:
+    """Rows k = 0..n of g*(f/x)^k through x^(n-k), each as integer numerators
+    over a denominator, content removed; f[0] must be 0.  Row k times x^k is
+    g*f^k through x^n: column k of [g, f], and term k of a composition."""
+    fn, fd = _scaled(f[1:], min(len(f), n + 1) - 2)  # unpadded: f = x costs O(n^2)
+    r, d = _scaled(g, n)
+    rows = []
+    for k in range(n + 1):
+        c = gcd(d, *r)
+        r, d = [v // c for v in r], d // c
+        rows.append((r, d))
+        r, d = _conv(r, fn, n - k - 1), d * fd
+    return rows
+
+
 def _compose(outer: Sequence[Fraction], inner: Sequence[Fraction], n: int) -> list[Fraction]:
-    # Horner's rule on integers, running value r/d.  It requires inner[0] == 0,
-    # so terms of outer above x^n contribute nothing, and the value taken up
-    # at outer[k] is later multiplied by inner^k: it is needed to order n - k.
+    # sum_k outer_k x^k (inner/x)^k; as inner[0] == 0, outer above x^n adds nothing.
     on, od = _scaled(outer, n)
-    inn, idn = _scaled(inner, n)
-    r = [on[-1]]
-    d = 1
-    for k in range(len(on) - 2, -1, -1):
-        r = _conv(r, inn, n - k)
-        d *= idn
-        r[0] += on[k] * d
-        g = gcd(d, *r)
-        if g > 1:
-            r = [v // g for v in r]
-            d //= g
-    d *= od
-    return [Fraction(v, d) for v in r]
+    rows = _powers([1], inner, n)
+    d = lcm(*(dk for _, dk in rows))
+    out = [0] * (n + 1)
+    for k, (r, dk) in enumerate(rows):
+        c = on[k] * (d // dk)
+        for j, v in enumerate(r, k):
+            out[j] += c * v
+    return [Fraction(v, d * od) for v in out]
 
 
 def _derive(a: Sequence[Fraction]) -> list[Fraction]:

@@ -5,6 +5,18 @@ from expriordan.series import Series
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
+# Zeros and mixed denominators, for checks against the schoolbook oracles.
+mixed_rationals = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=60)
+)
+
+
+def mixed_jets(order: int, head: tuple = ()) -> st.SearchStrategy[Series]:
+    """Order-N jets over ``mixed_rationals`` whose leading coefficients are ``head``."""
+    return st.lists(mixed_rationals, min_size=order + 1, max_size=order + 1).map(
+        lambda cs: Series((tuple(head) + tuple(cs[len(head) :]))[: order + 1])
+    )
+
 
 def jets(order: int = 6, constant=None, linear=None) -> st.SearchStrategy[Series]:
     """Random order-N jets; pin the constant/linear coefficient when given."""

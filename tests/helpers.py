@@ -1,7 +1,9 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the implementation paths it
-checks: reversion is cross-checked by Lagrange inversion, moments by the
+checks: reversion is cross-checked by Lagrange inversion, arrays, composition
+and the analytic production matrix by schoolbook loops over Fractions rather
+than the library's table of series powers, moments by the
 Jacobi-matrix recurrence, Hankel determinants by Gaussian elimination over
 Fractions, J-fraction coefficients by determinant ratios and by peeling one
 level per series division, J-fraction expansions by one series division per
@@ -16,7 +18,8 @@ from math import comb, factorial
 
 from expriordan import catalog
 from expriordan.orthopoly import Recurrence
-from expriordan.riordan import ExpRiordan, build
+from expriordan.production import ZAPair
+from expriordan.riordan import ExpRiordan, TriMatrix, build
 from expriordan.series import Series, one, series
 
 
@@ -48,6 +51,19 @@ def naive_compose(outer: Series, inner: Series) -> Series:
         out = [o + ck * p for o, p in zip(out, power)]
         power = _naive_product(power, inner.coeffs, n)
     return Series(tuple(out))
+
+
+def naive_build(g: Series, f: Series) -> list[list[Fraction]]:
+    """Rows of the array [g, f], t[n][k] = (n!/k!) [x^n] g f^k, with g f^k
+    built by the same double loop."""
+    n = g.order
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    power = list(g.coeffs)
+    for k in range(n + 1):
+        for i in range(k, n + 1):
+            rows[i][k] = factorial(i) // factorial(k) * power[i]
+        power = _naive_product(power, f.coeffs, n)
+    return rows
 
 
 def _naive_product(a, b, n: int) -> list[Fraction]:
@@ -229,6 +245,38 @@ def jfraction_by_levels(m, depth: int) -> Recurrence:
             )
         cur = series(tuple(v / lam_next for v in tail))
     return Recurrence(b=tuple(b), lam=tuple(lam))
+
+
+def production_analytic_by_entries(za: ZAPair, dim: int) -> TriMatrix:
+    """P[n][k] = (n!/k!) z_{n-k} + (n!/(k-1)!) a_{n-k+1}, entry by entry."""
+    if dim - 1 > za.z.order or dim > za.a.order:
+        raise ValueError(
+            f"dim {dim} needs z to order {dim - 1} and a to order {dim}, "
+            f"have {za.z.order} and {za.a.order}"
+        )
+    facts = [factorial(i) for i in range(dim)]
+    rows = []
+    for n in range(dim):
+        row = [Fraction(0)] * dim
+        for k in range(min(n + 1, dim - 1) + 1):
+            v = Fraction(0)
+            if 0 <= n - k <= za.z.order:
+                v += facts[n] // facts[k] * za.z[n - k]
+            if k >= 1 and 0 <= n - k + 1 <= za.a.order:
+                v += facts[n] // facts[k - 1] * za.a[n - k + 1]
+            row[k] = v
+        rows.append(tuple(row))
+    return TriMatrix(tuple(rows))
+
+
+def za_by_definition(g: Series, f: Series) -> ZAPair:
+    """A = f'(fbar) and Z = g'(fbar)/g(fbar) at order N-1, with fbar by
+    Lagrange inversion and each composition by ``naive_compose``."""
+    n = f.order
+    fbar = lagrange_revert(f).truncate(n - 1)
+    a = naive_compose(f.derive(), fbar)
+    z = naive_compose(g.derive(), fbar) / naive_compose(g.truncate(n - 1), fbar)
+    return ZAPair(z=z, a=a)
 
 
 def random_riordan_pair(rng: random.Random, order: int) -> ExpRiordan:

@@ -25,7 +25,7 @@ from expriordan.catalog import (
 )
 from expriordan.production import production_definitional, tridiagonal_params, za_sequences
 from expriordan.riordan import build, inverse, is_checkerboard, is_derivative_subgroup
-from expriordan.series import log_series, one
+from expriordan.series import exp_series, log_series, one, pow_rational, series
 
 SIGMOID_IDS = tuple(eid for eid in ids() if entry(eid).is_sigmoid)
 
@@ -262,6 +262,28 @@ def test_sample_grid_validation():
         SampleGrid(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         SampleGrid(0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 24])
+def test_ogf_generators_match_their_definitions(order):
+    # Integrals are taken from order 24, so every order is a truncation.
+    x2 = series([0, 0, 1], order=24)
+    integrals = {
+        catalog.arctan_series: 1 / (1 + x2),
+        catalog.artanh_series: 1 / (1 - x2),
+        catalog.arcsin_series: pow_rational(1 - x2, F(-1, 2)),
+        catalog.erf_integral_series: exp_series(-x2),
+    }
+    for gen, derivative in integrals.items():
+        assert gen(order).coeffs == derivative.integrate().coeffs[: order + 1]
+    plain = {
+        catalog.gauss_series: exp_series(-x2),
+        catalog.log1p_series: log_series(series([1, 1], order=24)),
+        lambda n: catalog._geom_x2(3, n): 1 / (1 - 3 * x2),
+        lambda n: catalog._geom_x2(-2, n): 1 / (1 + 2 * x2),
+    }
+    for gen, want in plain.items():
+        assert gen(order).coeffs == want.coeffs[: order + 1]
 
 
 def test_pair_is_cached():

@@ -209,6 +209,9 @@ def test_hankel_insufficient_data_fails(capsys):
         ("produce", "tanh", "--order", "1"),
         ("array", "tanh", "--order", "0"),
         ("cf", "gompertz", "--depth", "0"),
+        ("array", "--g", "1", "--f", "0,1", "--order", "100000000000"),
+        ("hankel", "tanh", "--n", "65"),
+        ("cf", "gompertz", "--depth", "65"),
     ],
     ids=lambda argv: "_".join(argv).replace("--", ""),
 )
@@ -216,6 +219,45 @@ def test_out_of_range_option_fails(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: --") and err.count("\n") == 1
+
+
+def test_largest_size_is_accepted(capsys):
+    code, out, err = run(capsys, "array", "--g", "1", "--f", "0,1", "--order", "64")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 65
+
+
+UNKNOWN_ID = (
+    "error: unknown catalog id 'logistic'; known ids: tanh, tanh2, arctan, algebraic, "
+    "quartic, gudermann, erf, gompertz, cos_sin, pascal\n"
+)
+
+
+# Errors raised inside the library reach stderr as their bare message.
+LIBRARY_ERRORS = [
+    (("array", "logistic"), UNKNOWN_ID),
+    (("hankel", "logistic"), UNKNOWN_ID),
+    (("moments", "logistic"), UNKNOWN_ID),
+    (("cf", "logistic"), UNKNOWN_ID),
+    (("plotdata", "logistic"), UNKNOWN_ID),
+    (("moments", "erf", "--inverse"), "error: entry 'erf' has no closed-form inverse pair\n"),
+    (("cf", "tanh", "--of", "f"), "error: moment sequence must start with m_0 = 1\n"),
+    (("plotdata", "tanh", "--samples", "1"), "error: need at least two samples\n"),
+    (
+        ("plotdata", "tanh", "--tmin", "1", "--tmax", "0"),
+        "error: t_min must be strictly below t_max\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    LIBRARY_ERRORS,
+    ids=["_".join(argv).replace("--", "") for argv, _ in LIBRARY_ERRORS],
+)
+def test_library_error_diagnostics(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", expected)
 
 
 @pytest.mark.parametrize(

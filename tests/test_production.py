@@ -1,6 +1,11 @@
-import pytest
+from fractions import Fraction as F
 
-from helpers import power_first_row
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from conftest import mixed_jets, mixed_rationals
+from helpers import power_first_row, production_analytic_by_entries, za_by_definition
 
 from expriordan.catalog import (
     build_entry,
@@ -73,6 +78,37 @@ def test_analytic_from_inverse_cos_sin():
     assert p.rows[3][:5] == (5, 0, 6, 0, 1)
     direct = production_definitional(build_inverse_entry("cos_sin", 9))
     assert direct.leading(8) == p.leading(8)
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    data=st.data(),
+    z_order=st.integers(min_value=0, max_value=9),
+    a_order=st.integers(min_value=0, max_value=10),
+    dim=st.integers(min_value=0, max_value=11),
+)
+@settings(max_examples=80, deadline=None)
+def test_production_analytic_matches_entry_oracle(data, z_order, a_order, dim):
+    za = ZAPair(z=data.draw(mixed_jets(z_order)), a=data.draw(mixed_jets(a_order, (F(1),))))
+    want = _outcome(production_analytic_by_entries, za, dim)
+    assert _outcome(production_analytic, za, dim) == want
+
+
+@given(data=st.data(), order=st.integers(min_value=1, max_value=7))
+@settings(max_examples=40, deadline=None)
+def test_za_sequences_match_definition(data, order):
+    g = data.draw(mixed_jets(order, (data.draw(mixed_rationals.filter(bool)),)))
+    f = data.draw(mixed_jets(order, (F(0), F(1))))
+    za = za_sequences(g, f)
+    want = za_by_definition(g, f)
+    assert (za.z.coeffs, za.a.coeffs) == (want.z.coeffs, want.a.coeffs)
 
 
 @pytest.mark.parametrize("eid", ids())

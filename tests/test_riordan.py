@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import sigmoid_like
-from helpers import naive_mat_mul, random_riordan_pair
+from conftest import mixed_jets, sigmoid_like
+from helpers import naive_build, naive_mat_mul, random_riordan_pair
 
 from expriordan.catalog import (
     arcsin_series,
@@ -42,6 +42,17 @@ from expriordan.series import Series, one, series, x
 # ---------------------------------------------------------------------------
 # building
 # ---------------------------------------------------------------------------
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=10))
+@settings(max_examples=60, deadline=None)
+def test_build_matches_naive_oracle(data, order):
+    g, f = data.draw(mixed_jets(order, (F(1),))), data.draw(mixed_jets(order, (F(0), F(1))))
+    if order == 0:
+        with pytest.raises(ValueError, match="linear coefficient"):
+            build(g, f)
+        return
+    assert [list(row) for row in build(g, f).matrix.rows] == naive_build(g, f)
 
 
 def test_pascal_triangle():

@@ -4,7 +4,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import jets, sigmoid_like, small_rationals, units
+from conftest import jets, mixed_rationals, sigmoid_like, small_rationals, units
 from helpers import (
     egf_convolution,
     euler_numbers,
@@ -201,11 +201,6 @@ def test_revert_matches_lagrange_and_round_trips(order, data):
     assert fbar == lagrange_revert(f)
     assert f.compose(fbar) == x(order)
     assert fbar.compose(f) == x(order)
-
-
-mixed_rationals = st.one_of(
-    st.just(F(0)), st.fractions(min_value=-50, max_value=50, max_denominator=60)
-)
 
 
 @given(data=st.data(), order=st.integers(min_value=0, max_value=9))

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the array and orthopoly layers at fixed jet orders; write BENCH_8.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_9.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
@@ -14,9 +14,13 @@ on the ``tanh`` entry's Jacobi recurrence, ``coefficient_array`` of degree n,
 moments, and ``hankel_transform_f_egf``, h_0..h_{n/2} of the EGF of the
 entry's f, whose m_0 = 0 takes the zero-pivot route.  For each it records the
 least wall time over five calls, which a busy machine can only raise, and
-the largest numerator or denominator bit-length in the result.  The inputs
+the largest numerator or denominator bit-length in the result.  It also
+times ``exp_series`` of 1 - e^(-x) and ``log_series`` of 1 - log(1 + x), the
+series of the ``gompertz`` entry, ``pow_rational`` (1 + x^2)^(-3/2), the g of
+``algebraic``, and ``catalog.pair`` of ``gompertz`` and of ``algebraic``
+(uncached).  The inputs
 are built before the timed calls.  The numbers go under ``runs[NAME]`` of
-BENCH_8.json at the repository root and other labels are kept, so the
+BENCH_9.json at the repository root and other labels are kept, so the
 numbers of two source trees (say, a parent commit's ``src`` and this one's)
 sit side by side.
 """
@@ -34,17 +38,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "algebraic"
 JACOBI_ENTRY = "tanh"
-JACOBI_OPS = (
-    "coefficient_array",
-    "moments",
-    "cf_to_ogf",
-    "hankel_transform",
-    "jfraction",
-    "hankel_transform_f_egf",
-)
+EXP_ENTRY = "gompertz"
 ORDERS = (16, 32, 64)
 REPEATS = 5
-OUT = ROOT / "BENCH_8.json"
+OUT = ROOT / "BENCH_9.json"
 
 
 def _fractions(obj) -> list:
@@ -65,7 +62,7 @@ def _fractions(obj) -> list:
     if isinstance(obj, Recurrence):
         return [*obj.b, *obj.lam]
     if isinstance(obj, (tuple, list)):
-        return list(obj)
+        return [q for v in obj for q in (_fractions(v) if isinstance(v, Series) else [v])]
     raise TypeError(f"no rationals known for {type(obj).__name__}")
 
 
@@ -78,6 +75,7 @@ def max_bits(obj) -> int:
 
 def measure() -> list[dict]:
     from expriordan import catalog, orthopoly, production, riordan
+    from expriordan.series import exp_series, log_series, pow_rational, series
 
     rows = []
     for n in ORDERS:
@@ -88,25 +86,37 @@ def measure() -> list[dict]:
         rec = orthopoly.recurrence_from_jacobi(catalog.entry(JACOBI_ENTRY).jacobi, n)
         m = orthopoly.moments(rec, n)
         tanh_f = catalog.pair(JACOBI_ENTRY, n)[1].egf()
-        ops = {
-            "revert": lambda: f.revert(),
-            "compose": lambda: f.compose(fbar),
-            "build": lambda: riordan.build(g, f),
-            "inverse": lambda: riordan.inverse(arr),
-            "za_sequences": lambda: production.za_sequences(g, f),
-            "multiply": lambda: riordan.multiply(arr, arr),
-            "production_definitional": lambda: production.production_definitional(arr),
-            "production_analytic": lambda: production.production_analytic(za, n - 1),
-            "mat_inverse": lambda: riordan.mat_inverse(arr.matrix),
-            "mat_mul": lambda: riordan.mat_mul(arr.matrix, arr.matrix),
-            "coefficient_array": lambda: orthopoly.coefficient_array(rec, n),
-            "moments": lambda: orthopoly.moments(rec, n),
-            "cf_to_ogf": lambda: orthopoly.cf_to_ogf(rec, 2 * n, n),
-            "hankel_transform": lambda: orthopoly.hankel_transform(m, n // 2),
-            "jfraction": lambda: orthopoly.jfraction(m, n // 2),
-            "hankel_transform_f_egf": lambda: orthopoly.hankel_transform(tanh_f, n // 2),
-        }
-        for name, op in ops.items():
+        gompertz_u = 1 - catalog.expx_series(n, scale=-1)
+        gompertz_w = 1 - catalog.log1p_series(n)
+        square = series([1, 0, 1], order=n)
+        ops = [
+            ("revert", ENTRY, lambda: f.revert()),
+            ("compose", ENTRY, lambda: f.compose(fbar)),
+            ("build", ENTRY, lambda: riordan.build(g, f)),
+            ("inverse", ENTRY, lambda: riordan.inverse(arr)),
+            ("za_sequences", ENTRY, lambda: production.za_sequences(g, f)),
+            ("multiply", ENTRY, lambda: riordan.multiply(arr, arr)),
+            ("production_definitional", ENTRY, lambda: production.production_definitional(arr)),
+            ("production_analytic", ENTRY, lambda: production.production_analytic(za, n - 1)),
+            ("mat_inverse", ENTRY, lambda: riordan.mat_inverse(arr.matrix)),
+            ("mat_mul", ENTRY, lambda: riordan.mat_mul(arr.matrix, arr.matrix)),
+            ("coefficient_array", JACOBI_ENTRY, lambda: orthopoly.coefficient_array(rec, n)),
+            ("moments", JACOBI_ENTRY, lambda: orthopoly.moments(rec, n)),
+            ("cf_to_ogf", JACOBI_ENTRY, lambda: orthopoly.cf_to_ogf(rec, 2 * n, n)),
+            ("hankel_transform", JACOBI_ENTRY, lambda: orthopoly.hankel_transform(m, n // 2)),
+            ("jfraction", JACOBI_ENTRY, lambda: orthopoly.jfraction(m, n // 2)),
+            (
+                "hankel_transform_f_egf",
+                JACOBI_ENTRY,
+                lambda: orthopoly.hankel_transform(tanh_f, n // 2),
+            ),
+            ("exp_series", EXP_ENTRY, lambda: exp_series(gompertz_u)),
+            ("log_series", EXP_ENTRY, lambda: log_series(gompertz_w)),
+            ("pow_rational", ENTRY, lambda: pow_rational(square, "-3/2")),
+            ("pair", EXP_ENTRY, lambda: catalog.pair.__wrapped__(EXP_ENTRY, n)),
+            ("pair", ENTRY, lambda: catalog.pair.__wrapped__(ENTRY, n)),
+        ]
+        for name, entry, op in ops:
             times = []
             for _ in range(REPEATS):
                 start = time.perf_counter()
@@ -115,13 +125,13 @@ def measure() -> list[dict]:
             rows.append(
                 {
                     "operation": name,
-                    "entry": JACOBI_ENTRY if name in JACOBI_OPS else ENTRY,
+                    "entry": entry,
                     "order": n,
                     "min_s": round(min(times), 6),
                     "bits": max_bits(result),
                 }
             )
-            print(f"{name:24s} n={n:2d}  {rows[-1]['min_s']:.6f} s  {rows[-1]['bits']} bits")
+            print(f"{name:24s} {entry:10s} n={n:2d}  {rows[-1]['min_s']:.6f} s  {rows[-1]['bits']} bits")
     return rows
 
 
@@ -135,7 +145,6 @@ def main() -> int:
     results = measure()
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.setdefault("script", "scripts/bench_layers.py")
-    doc.setdefault("entry", ENTRY)
     doc.setdefault("orders", list(ORDERS))
     doc.setdefault("statistic", "least wall time over the repeats")
     doc.setdefault("runs", {})[args.label] = {

@@ -331,6 +331,11 @@ def _check_ranges(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact results outgrow Python's default 4300-digit limit on converting
+    # between int and str (h_61 of tanh's EGF has 4436 digits), and so may a
+    # --seq term; the limit is lifted while the command runs.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         _check_ranges(args)
@@ -339,6 +344,8 @@ def main(argv: list[str] | None = None) -> int:
         # str() of a KeyError quotes its message; print the message itself.
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
     print(out)
     return 0
 

@@ -260,7 +260,8 @@ def inverse(a: ExpRiordan) -> ExpRiordan:
 
 def is_derivative_subgroup(a: ExpRiordan) -> bool:
     """True when g equals f' exactly to order N-1."""
-    return a.f.derive() == a.g
+    fp = a.f.derive()
+    return fp.agrees_to(a.g, fp.order)
 
 
 def is_checkerboard(a: ExpRiordan) -> bool:

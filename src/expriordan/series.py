@@ -8,10 +8,14 @@ operand becomes integer numerators over one common denominator, and the
 result is normalized once at the end.  Composition and the columns of an
 exponential Riordan array read one table of powers (f/x)^k.  Reversion is
 Newton iteration that doubles its working order and checks f(g) = x exactly.
+exp and log are one integer recurrence in exponential coordinates, E' = u'E,
+solved for E by exp and for u by log.
 
 Binary operations require operands of equal order -- mixing orders would
-silently discard precision, so it raises instead.  Use
-:meth:`Series.truncate` when a shorter jet is genuinely wanted.
+silently discard precision, so it raises instead.  Equality is strict too:
+jets of different orders are unequal.  Use :meth:`Series.truncate` when a
+shorter jet is genuinely wanted, and :meth:`Series.agrees_to` to compare two
+jets through a given order.
 
 The exponential-coefficient view of the same jet is ``n! * c_n``; the two
 views convert exactly in both directions (:func:`from_egf`,
@@ -148,25 +152,49 @@ def _integrate(a: Sequence[Fraction]) -> list[Fraction]:
     return [Fraction(0)] + [a[k] / (k + 1) for k in range(len(a))]
 
 
-def _exp(u: Sequence[Fraction], n: int) -> list[Fraction]:
-    # E' = u'E with E(0) = 1; requires u[0] == 0.
-    e = [Fraction(0)] * (n + 1)
-    e[0] = Fraction(1)
-    for k in range(1, n + 1):
-        s = Fraction(0)
-        for j in range(1, min(k, len(u) - 1) + 1):
-            if u[j]:
-                s += j * u[j] * e[k - j]
-        e[k] = s / k
-    return e
+def _egf_scaled(a: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers D^m * m! * a_m for every m, and their scale D, the lcm of the
+    denominators of the m! * a_m; a[0] must be an integer."""
+    egf = []
+    f = 1
+    for m, c in enumerate(a):
+        f *= m or 1
+        g = gcd(f, c.denominator)
+        egf.append((c.numerator * (f // g), c.denominator // g))
+    d = lcm(*(q for _, q in egf))
+    out, p = [], 1
+    for num, q in egf:
+        out.append(num * (p // q))
+        p *= d
+    return out, d
 
 
-def _log(a: Sequence[Fraction], n: int) -> list[Fraction]:
-    # L = integral of a'/a; requires a[0] == 1.
-    if n == 0:
-        return [Fraction(0)]
-    q = _div(_derive(a), a, n - 1)
-    return _integrate(q)
+def _exp_log(s: Sequence[Fraction], log: bool) -> list[Fraction]:
+    # With a_j = j! u_j and e_m = m! [x^m] exp(u), E' = u'E reads
+    # e_m = sum_{j=1..m} C(m-1, j-1) a_j e_{m-j} with e_0 = 1.  Scaled by D^m,
+    # X_j = D^j a_j and Y_m = D^m e_m are integers under the same relation,
+    # Y_m = X_m + sum_{j=1..m-1} C(m-1, j-1) X_j Y_{m-j}.  exp solves it for
+    # Y given X (u = s, u_0 = 0); log solves it for X given Y (s_0 = 1).
+    known, d = _egf_scaled(s)
+    n = len(known) - 1
+    deg = max((m for m, v in enumerate(known) if v), default=0)
+    # X_j vanishes for j > dx and Y_i for i > dy, so those terms are skipped.
+    xs, dx, ys, dy = ([0], n, known, deg) if log else (known, deg, [1], n)
+    row = [1]  # C(m-1, j-1) for j = 1..m
+    for m in range(1, n + 1):
+        lo, hi = max(1, m - dy), min(m, dx + 1)
+        xy = map(int.__mul__, xs[lo:hi], ys[m - lo : m - hi : -1])
+        t = sum(map(int.__mul__, xy, row[lo - 1 :]))
+        if log:
+            xs.append(ys[m] - t)
+        else:
+            ys.append(xs[m] + t)
+        row = [1, *map(int.__add__, row, row[1:]), 1]
+    out, q = [], 1
+    for m, v in enumerate(xs if log else ys):
+        out.append(Fraction(v, q))
+        q *= d * (m + 1)
+    return out
 
 
 def _revert(f: Sequence[Fraction], n: int) -> list[Fraction]:
@@ -188,7 +216,7 @@ def _revert(f: Sequence[Fraction], n: int) -> list[Fraction]:
     err = _compose(f, g, n)
     err[1] -= 1
     if any(err):
-        raise AssertionError("Newton reversion failed to converge")
+        raise ArithmeticError("Newton reversion failed to converge")
     return g
 
 
@@ -220,10 +248,17 @@ class Series:
         return iter(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        """Coefficient-wise equality at the common order."""
+        """Equal order and equal coefficients; jets of different orders differ."""
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
+        return self.coeffs == other.coeffs
+
+    def agrees_to(self, other: "Series", n: int) -> bool:
+        """True when both jets reach order ``n`` and agree through x^n."""
+        if n < 0 or n > min(self.order, other.order):
+            raise ValueError(
+                f"cannot compare order-{self.order} and order-{other.order} jets to order {n}"
+            )
         return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
     __hash__ = None  # type: ignore[assignment]
@@ -397,14 +432,14 @@ def exp_series(s: Series) -> Series:
     """exp of a series with zero constant term."""
     if s.coeffs[0] != 0:
         raise ValueError("exp requires a zero constant term")
-    return Series(tuple(_exp(s.coeffs, s.order)))
+    return Series(tuple(_exp_log(s.coeffs, log=False)))
 
 
 def log_series(s: Series) -> Series:
     """log of a series with constant term 1."""
     if s.coeffs[0] != 1:
         raise ValueError("log requires constant term 1")
-    return Series(tuple(_log(s.coeffs, s.order)))
+    return Series(tuple(_exp_log(s.coeffs, log=True)))
 
 
 def pow_rational(s: Series, r: Union[Scalar, str]) -> Series:

@@ -1,13 +1,16 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the implementation paths it
-checks: reversion is cross-checked by Lagrange inversion, arrays, composition
-and the analytic production matrix by schoolbook loops over Fractions rather
-than the library's table of series powers, moments by the
-Jacobi-matrix recurrence, Hankel determinants by Gaussian elimination over
-Fractions, J-fraction coefficients by determinant ratios and by peeling one
-level per series division, J-fraction expansions by one series division per
-level, triangular solves and matrix powers by schoolbook products, and so on.
+checks: reversion is cross-checked by Lagrange inversion; exp by the
+ordinary-coefficient recurrence and log by long division and integration,
+where the library runs both on one integer recurrence in EGF coordinates;
+arrays, composition and the analytic production matrix by schoolbook loops
+over Fractions rather than the library's table of series powers; moments by
+the Jacobi-matrix recurrence; Hankel determinants by Gaussian elimination
+over Fractions; J-fraction coefficients by determinant ratios and by peeling
+one level per series division; J-fraction expansions by one series division
+per level; triangular solves and matrix powers by schoolbook products; and
+so on.
 """
 
 from __future__ import annotations
@@ -35,6 +38,32 @@ def lagrange_revert(f: Series) -> Series:
         p = p * w
         out[m] = p[m - 1] / m
     return Series(tuple(out))
+
+
+def exp_by_ogf_recurrence(u: Series) -> Series:
+    """exp(u) for u_0 = 0 from E' = u'E in ordinary coefficients,
+    e_k = (1/k) sum_j j u_j e_{k-j}, over Fractions."""
+    n = u.order
+    e = [Fraction(0)] * (n + 1)
+    e[0] = Fraction(1)
+    for k in range(1, n + 1):
+        s = Fraction(0)
+        for j in range(1, min(k, len(u.coeffs) - 1) + 1):
+            if u[j]:
+                s += j * u[j] * e[k - j]
+        e[k] = s / k
+    return Series(tuple(e))
+
+
+def log_by_integration(s: Series) -> Series:
+    """log(s) for s_0 = 1 as the integral of s'/s, the quotient by schoolbook
+    long division over Fractions."""
+    n = s.order
+    ds = [k * s[k] for k in range(1, n + 1)]
+    q: list[Fraction] = []
+    for k in range(n):
+        q.append(ds[k] - sum((q[j] * s[k - j] for j in range(k)), Fraction(0)))
+    return Series((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(q)))
 
 
 def naive_mul(a: Series, b: Series) -> Series:

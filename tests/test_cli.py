@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -225,6 +226,16 @@ def test_largest_size_is_accepted(capsys):
     code, out, err = run(capsys, "array", "--g", "1", "--f", "0,1", "--order", "64")
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 65
+
+
+def test_integers_past_the_string_conversion_limit(capsys):
+    # Python refuses int <-> str conversion past 4300 digits by default; the
+    # CLI reads and prints such terms whole and restores the limit after.
+    limit = sys.get_int_max_str_digits()
+    big = "9" + "0" * 4398 + "7"
+    code, out, err = run(capsys, "hankel", "--seq", big, "--n", "0")
+    assert (code, out, err) == (0, big + "\n", "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 UNKNOWN_ID = (

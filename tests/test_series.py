@@ -1,14 +1,17 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import jets, mixed_rationals, sigmoid_like, small_rationals, units
+from conftest import jets, mixed_jets, mixed_rationals, sigmoid_like, small_rationals, units
 from helpers import (
     egf_convolution,
     euler_numbers,
+    exp_by_ogf_recurrence,
     lagrange_revert,
+    log_by_integration,
     naive_compose,
     naive_mul,
 )
@@ -28,6 +31,7 @@ from expriordan.series import (
 )
 from expriordan.catalog import (
     artanh_series,
+    cosh_series,
     expx_series,
     gd_series,
     sech_series,
@@ -58,8 +62,18 @@ def test_series_views():
 
 
 def test_equality_at_common_order():
-    assert series([1, 2, 3]) == series([1, 2, 3, 9, 9])
+    # Equality is strict; agreement to a common order is asked for explicitly.
+    assert series([1, 2, 3]) != series([1, 2, 3, 9, 9])
+    assert series([1, 2, 3, 9, 9]) != series([1, 2, 3])
+    assert series([1, 2, 3]) == series([1, 2, 3])
     assert series([1, 2, 3]) != series([1, 2, 4])
+    assert series([1, 2, 3]).agrees_to(series([1, 2, 3, 9, 9]), 2)
+    assert series([1, 2, 3, 9]).agrees_to(series([1, 2, 3, 8]), 2)
+    assert not series([1, 2, 3, 9]).agrees_to(series([1, 2, 3, 8]), 3)
+    assert not series([1, 2, 3]).agrees_to(series([1, 2, 4]), 2)
+    for n in (-1, 3):
+        with pytest.raises(ValueError, match="cannot compare"):
+            series([1, 2, 3]).agrees_to(series([1, 2, 3, 9, 9]), n)
 
 
 def test_order_mismatch_raises():
@@ -190,6 +204,16 @@ def test_revert_preconditions():
         series([0, 0, 1], order=4).revert()
 
 
+def test_revert_nonconvergence_is_a_domain_error(monkeypatch):
+    # A wrong Newton correction leaves f(g) != x; the exact residual check
+    # reports that as an arithmetic failure, not as a failed internal assert.
+    mod = importlib.import_module("expriordan.series")
+    div = mod._div
+    monkeypatch.setattr(mod, "_div", lambda a, b, n: [c + 1 for c in div(a, b, n)])
+    with pytest.raises(ArithmeticError, match="^Newton reversion failed to converge$"):
+        sin_series(8).revert()
+
+
 # Reversion works at the orders ... n >> 2, n >> 1, n, so each order below
 # takes its own path: 1 -> 2 -> 4 -> 8, 1 -> 3 -> 6 -> 13, 1 -> 3 -> 7, ...
 @pytest.mark.parametrize("order", [1, 2, 3, 7, 8, 13, 24])
@@ -229,12 +253,14 @@ def test_compose_associativity(a, b, c):
 
 def test_derive_tanh_is_sech_squared():
     n = 10
-    assert tanh_series(n).derive() == sech_series(n) ** 2
+    assert tanh_series(n).derive() == (sech_series(n) ** 2).truncate(n - 1)
+    assert tanh_series(n).derive() != sech_series(n) ** 2  # orders n - 1 and n
 
 
 def test_derive_gudermannian_is_sech():
     n = 10
-    assert gd_series(n).derive() == sech_series(n)
+    assert gd_series(n).derive() == sech_series(n).truncate(n - 1)
+    assert gd_series(n).derive().agrees_to(sech_series(n), n - 1)
 
 
 def test_integrate_derive_round_trip():
@@ -279,6 +305,58 @@ def test_exp_log_pow_preconditions():
 @settings(max_examples=40)
 def test_log_of_exp(s):
     assert log_series(exp_series(s)) == s
+
+
+def _exp_log_inputs(order: int, constant: int):
+    """Order-N jets with the given constant term, of three kinds: mixed
+    denominators up to 60 with zeros, integer EGF coefficients (natural for
+    exp), and OGF coefficients p/q with q <= 6 (natural for powers)."""
+    egf_integral = st.lists(st.integers(-9, 9), min_size=order, max_size=order).map(
+        lambda cs: from_egf([constant, *cs])
+    )
+    ogf_natural = st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=order, max_size=order
+    ).map(lambda cs: series([constant, *cs]))
+    return st.one_of(mixed_jets(order, head=(constant,)), egf_integral, ogf_natural)
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=24))
+@settings(max_examples=120, deadline=None)
+def test_exp_matches_ogf_recurrence(data, order):
+    u = data.draw(_exp_log_inputs(order, 0))
+    assert exp_series(u).coeffs == exp_by_ogf_recurrence(u).coeffs
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=24))
+@settings(max_examples=120, deadline=None)
+def test_log_matches_integration(data, order):
+    s = data.draw(_exp_log_inputs(order, 1))
+    assert log_series(s).coeffs == log_by_integration(s).coeffs
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 24])
+def test_exp_and_log_of_egf_integral_series(order):
+    u = 1 - expx_series(order, scale=-1)  # EGF 0, 1, -1, 1, ...
+    assert exp_series(u).coeffs == exp_by_ogf_recurrence(u).coeffs
+    # exp(1 - e^{-x}) has integer EGF coefficients.
+    assert all(c.denominator == 1 for c in exp_series(u).egf())
+    assert log_series(exp_series(u)) == u
+    c = cosh_series(order)
+    assert exp_series(c - 1).coeffs == exp_by_ogf_recurrence(c - 1).coeffs
+    assert log_series(c).coeffs == log_by_integration(c).coeffs
+    assert log_series(expx_series(order, scale=-1)) == -x(order)
+
+
+@pytest.mark.parametrize("r", [F(-3, 2), F(-5, 4), F(-1, 2), F(3, 2)])
+@given(s=units(6))
+@settings(max_examples=20, deadline=None)
+def test_pow_rational_to_the_denominator(r, s):
+    # pow_rational(s, p/q)^q = s^p, with both sides formed by products alone.
+    lhs = pow_rational(s, r) ** r.denominator
+    if r.numerator < 0:
+        assert lhs * s ** -r.numerator == one(s.order)
+    else:
+        assert lhs == s ** r.numerator
 
 
 def test_pow_rational_trivial_and_pinned():

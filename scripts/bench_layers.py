@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_9.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_10.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
@@ -7,22 +7,25 @@ At n = 16, 32 and 64 it times ``revert``, ``compose`` (f with its inverse),
 ``build``, ``inverse``, ``za_sequences``, ``multiply``,
 ``production_definitional``, ``production_analytic`` (the (n-1)-square block
 from the (Z, A) pair), ``mat_inverse`` and ``mat_mul`` (of the array's matrix
-with itself) on the catalog entry ``algebraic``; and,
-on the ``tanh`` entry's Jacobi recurrence, ``coefficient_array`` of degree n,
-``moments`` m_0..m_n, ``cf_to_ogf`` at depth n and order 2n,
-``hankel_transform`` h_0..h_{n/2} and ``jfraction`` at depth n/2 of those
-moments, and ``hankel_transform_f_egf``, h_0..h_{n/2} of the EGF of the
-entry's f, whose m_0 = 0 takes the zero-pivot route.  For each it records the
-least wall time over five calls, which a busy machine can only raise, and
-the largest numerator or denominator bit-length in the result.  It also
-times ``exp_series`` of 1 - e^(-x) and ``log_series`` of 1 - log(1 + x), the
-series of the ``gompertz`` entry, ``pow_rational`` (1 + x^2)^(-3/2), the g of
-``algebraic``, and ``catalog.pair`` of ``gompertz`` and of ``algebraic``
-(uncached).  The inputs
-are built before the timed calls.  The numbers go under ``runs[NAME]`` of
-BENCH_9.json at the repository root and other labels are kept, so the
-numbers of two source trees (say, a parent commit's ``src`` and this one's)
-sit side by side.
+with itself) on the catalog entry ``algebraic``.  On the ``tanh`` entry's
+Jacobi recurrence it times ``coefficient_array`` of degree n, ``moments``
+m_0..m_n, ``cf_to_ogf`` at depth n and order 2n, and ``hankel_transform``
+h_0..h_{n/2} and ``jfraction`` at depth n/2 of those moments.  On the EGFs
+of the same entry it times ``hankel_transform_g_egf`` (h_0..h_n of sech^2,
+no vanishing minor), ``jfraction_g_egf`` (depth n of sech^2) and
+``hankel_transform_f_egf`` (h_0..h_n of tanh, whose m_0 = 0 and every even
+h_n vanish).  It also times ``exp_series`` of 1 - e^(-x) and ``log_series``
+of 1 - log(1 + x), the series of the ``gompertz`` entry, ``pow_rational``
+(1 + x^2)^(-3/2), the g of ``algebraic``, and ``catalog.pair`` of
+``gompertz`` and of ``algebraic`` (uncached).
+
+The inputs are built before the timed calls.  Each operation is called up to
+five times, stopping once two seconds of calls are spent; the least wall
+time, which a busy machine can only raise, is recorded with the number of
+calls and the largest numerator or denominator bit-length in the result.
+The numbers go under ``runs[NAME]`` of BENCH_10.json at the repository root
+and other labels are kept, so the numbers of two source trees (say, a parent
+commit's ``src`` and this one's) sit side by side.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ JACOBI_ENTRY = "tanh"
 EXP_ENTRY = "gompertz"
 ORDERS = (16, 32, 64)
 REPEATS = 5
-OUT = ROOT / "BENCH_9.json"
+BUDGET_S = 2.0
+OUT = ROOT / "BENCH_10.json"
 
 
 def _fractions(obj) -> list:
@@ -85,7 +89,7 @@ def measure() -> list[dict]:
         za = production.za_sequences(g, f)
         rec = orthopoly.recurrence_from_jacobi(catalog.entry(JACOBI_ENTRY).jacobi, n)
         m = orthopoly.moments(rec, n)
-        tanh_f = catalog.pair(JACOBI_ENTRY, n)[1].egf()
+        sech2, tanh_f = (s.egf() for s in catalog.pair(JACOBI_ENTRY, 2 * n))
         gompertz_u = 1 - catalog.expx_series(n, scale=-1)
         gompertz_w = 1 - catalog.log1p_series(n)
         square = series([1, 0, 1], order=n)
@@ -105,11 +109,9 @@ def measure() -> list[dict]:
             ("cf_to_ogf", JACOBI_ENTRY, lambda: orthopoly.cf_to_ogf(rec, 2 * n, n)),
             ("hankel_transform", JACOBI_ENTRY, lambda: orthopoly.hankel_transform(m, n // 2)),
             ("jfraction", JACOBI_ENTRY, lambda: orthopoly.jfraction(m, n // 2)),
-            (
-                "hankel_transform_f_egf",
-                JACOBI_ENTRY,
-                lambda: orthopoly.hankel_transform(tanh_f, n // 2),
-            ),
+            ("hankel_transform_g_egf", JACOBI_ENTRY, lambda: orthopoly.hankel_transform(sech2, n)),
+            ("jfraction_g_egf", JACOBI_ENTRY, lambda: orthopoly.jfraction(sech2, n)),
+            ("hankel_transform_f_egf", JACOBI_ENTRY, lambda: orthopoly.hankel_transform(tanh_f, n)),
             ("exp_series", EXP_ENTRY, lambda: exp_series(gompertz_u)),
             ("log_series", EXP_ENTRY, lambda: log_series(gompertz_w)),
             ("pow_rational", ENTRY, lambda: pow_rational(square, "-3/2")),
@@ -117,8 +119,8 @@ def measure() -> list[dict]:
             ("pair", ENTRY, lambda: catalog.pair.__wrapped__(ENTRY, n)),
         ]
         for name, entry, op in ops:
-            times = []
-            for _ in range(REPEATS):
+            times: list[float] = []
+            while len(times) < REPEATS and sum(times) < BUDGET_S:
                 start = time.perf_counter()
                 result = op()
                 times.append(time.perf_counter() - start)
@@ -128,6 +130,7 @@ def measure() -> list[dict]:
                     "entry": entry,
                     "order": n,
                     "min_s": round(min(times), 6),
+                    "calls": len(times),
                     "bits": max_bits(result),
                 }
             )
@@ -146,11 +149,12 @@ def main() -> int:
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.setdefault("script", "scripts/bench_layers.py")
     doc.setdefault("orders", list(ORDERS))
-    doc.setdefault("statistic", "least wall time over the repeats")
+    doc.setdefault("statistic", "least wall time over up to five calls, or two seconds of calls")
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
-        "repeats": REPEATS,
+        "max_calls": REPEATS,
+        "budget_s": BUDGET_S,
         "results": results,
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")

@@ -583,6 +583,8 @@ class SampleGrid:
     samples: int = 200
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+            raise ValueError("t_min and t_max must be finite")
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be strictly below t_max")
         if self.samples < 2:

@@ -24,7 +24,8 @@ from .series import Series, format_rational, from_egf, series
 
 DEFAULT_ORDER = 16
 # Largest --order, --n and --depth accepted: the largest size the tests and
-# benchmarks use.  At 64, `hankel tanh --n` takes seconds; at 128, minutes.
+# benchmarks use.  `hankel tanh --n 64` takes 0.5 s (Python 3.11, shared 2-core
+# x86_64), almost all of it tanh's order-128 jet; that jet at order 256 takes 18 s.
 MAX_SIZE = 64
 
 
@@ -340,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _check_ranges(args)
         out = args.func(args)
-    except (CliError, ValueError, ZeroDivisionError, KeyError) as exc:
+    except (CliError, ValueError, ArithmeticError, KeyError) as exc:
         # str() of a KeyError quotes its message; print the message itself.
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1

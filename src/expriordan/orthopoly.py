@@ -7,17 +7,19 @@ A :class:`Recurrence` holds the data (b_k, lambda_k) of the monic family
 
 "Formally orthogonal" is meant literally: lambda_k may be zero or negative.
 The recurrence runs once, on integer numerators, for the coefficient array
-and, reversed, for the J-fraction convergents that give the moments; the
-Hankel transform h_n = det(m_{i+j}) and the J-fraction of a moment sequence
-are read off one fraction-free (Bareiss) elimination of its integer-scaled
-Hankel matrix.
+and, reversed, for the J-fraction convergents that give the moments.  Going
+back, the Hankel transform h_n = det(m_{i+j}) and the J-fraction of a moment
+sequence are read off one expansion of its generating function as a Hankel
+continued fraction (Han's H-fraction), on integer rows, which gives every
+h_n, vanishing minors included; a J-fraction is an H-fraction whose levels
+all have k_j = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .riordan import TriMatrix, from_rows
@@ -43,8 +45,9 @@ class Recurrence:
     lam: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(Fraction(v) for v in self.b))
-        object.__setattr__(self, "lam", tuple(Fraction(v) for v in self.lam))
+        for name in ("b", "lam"):
+            values = (v if type(v) is Fraction else Fraction(v) for v in getattr(self, name))
+            object.__setattr__(self, name, tuple(values))
 
     def to_json(self) -> dict:
         return {
@@ -94,64 +97,85 @@ def moments(rec: Recurrence, n: int) -> tuple[Fraction, ...]:
     return cf_to_ogf(rec, n, (n + 1) // 2).coeffs
 
 
-def _bareiss(seq: Sequence[Fraction], n: int, pivot: bool) -> tuple[list[list[int]], int]:
-    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the integer
-    matrix c (m_{i+j})_{0<=i,j<=n}, c the lcm of the denominators; returns its
-    rows and c.  Row k is reduced by steps 0..k-1, so a[k][k] = c^{k+1} h_k and
-    a[k][k+1] is c^{k+1} times the minor h_k with column k replaced by column
-    k+1.  The pass stops at the first zero pivot; with ``pivot`` a lower row,
-    negated, takes its place, which keeps only the last pivot a leading minor."""
+def _hfraction(seq: Sequence[Fraction], n: int) -> list[tuple[int, list[int], int]]:
+    """Levels of Han's H-fraction (Adv. Math. 303, 2016) of sum m_k x^k, read
+    off m_0..m_2n: the levels j whose nonzero minor h_(s_j + k_j) has index at
+    most n, where s_0 = 0 and s_(j+1) = s_j + k_j + 1.  Every other h_i,
+    i <= n, is zero.
+
+    Level j is G_j = v_j x^k_j / (1 + u_(j+1)(x) x - x^(k_j+2) G_(j+1)), with
+    G_0 the whole series and deg u_(j+1) <= k_j.  Written G_j = x^k_j R_j /
+    R_(j-1) with R_(-1) = 1, it has v_j = R_j(0)/R_(j-1)(0), so R_j(0) =
+    v_0...v_j.  Level j is returned as (k_j, r, den): R_j = r/den through
+    x^(2(n - s_j) - k_j), r[0] != 0, content removed.
+
+    With q the integer row of R_(j-1), k = k_j and p = r[0]^(k+2), the
+    integer quotient P = p q/r through x^(k+1) is P[0] (1 + u_(j+1) x), and
+    x^(k+2) G_(j+1) R_j = (r P - p q) / (den P[0]), whose terms through
+    x^(k+1) cancel.  That is O(n (k_j + 1)) integer products per level."""
     if n < 0:
         raise ValueError(f"Hankel order {n} is negative")
-    terms = [Fraction(v) for v in seq[: 2 * n + 1]]
-    c = lcm(*(v.denominator for v in terms))
-    ints = [v.numerator * (c // v.denominator) for v in terms]
-    a = [ints[i : i + n + 1] for i in range(n + 1)]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n + 1) if a[r][k]), None) if pivot else None
-            if swap is None:
-                return a[: k + 1], c
-            a[k], a[swap] = [-v for v in a[swap]], a[k]  # keep the determinant's sign
-        top, p = a[k], a[k][k]
-        for row in a[k + 1 :]:
-            f = row[k]
-            row[k + 1 :] = [(v * p - f * w) // prev for v, w in zip(row[k + 1 :], top[k + 1 :])]
-        prev = p
-    return a, c
+    terms = [v if type(v) is Fraction else Fraction(v) for v in seq[: 2 * n + 1]]
+    den = lcm(*(v.denominator for v in terms))
+    a = [v.numerator * (den // v.denominator) for v in terms]  # x^k_j R_j, level j = 0
+    q = [1] + [0] * (2 * n)  # R_(j-1)
+    levels, s = [], 0
+    while True:
+        k = next((i for i, v in enumerate(a) if v), len(a))
+        if s + k > n:  # h_s..h_n all vanish
+            return levels
+        r = a[k:]
+        c = gcd(den, *r)
+        if c > 1:
+            r, den = [v // c for v in r], den // c
+        levels.append((k, r, den))
+        s += k + 1
+        if s > n:
+            return levels
+        r0 = r[0]
+        p = r0 ** (k + 2)
+        quot: list[int] = []
+        for i in range(k + 2):
+            quot.append((q[i] * p - sum(map(int.__mul__, quot, r[i:0:-1]))) // r0)
+        # The terms through x^(k+1) cancel; len(r) - k - 2 = 2(n - s) + 1 remain.
+        a = [-p * w for w in q[k + 2 : len(r)]]
+        for i, t in enumerate(quot):
+            a = [v + t * w for v, w in zip(a, r[k + 2 - i :])]
+        q, den = r, den * quot[0]
 
 
 def hankel(seq: Sequence[Fraction], n: int) -> Fraction:
-    """det(m_{i+j})_{0<=i,j<=n}: the last pivot of the elimination with row swaps."""
+    """det(m_{i+j})_{0<=i,j<=n}: the last entry of :func:`hankel_transform`."""
     if len(seq) < 2 * n + 1:
         raise ValueError(f"need {2 * n + 1} terms for the order-{n} determinant")
-    a, c = _bareiss(seq, n, pivot=True)
-    return Fraction(a[n][n], c ** (n + 1)) if len(a) > n else Fraction(0)
+    return hankel_transform(seq, n)[n]
 
 
 def hankel_transform(seq: Sequence[Fraction], n_max: int) -> list[Fraction]:
-    """[h_0, ..., h_{n_max}]: the pivots of one elimination pass and, past its
-    first zero pivot (m_0 = 0 for tanh), :func:`hankel` for each further n."""
+    """[h_0, ..., h_{n_max}] from one H-fraction expansion: level j puts k_j
+    zeros and then h_(s_j + k_j) = h_(s_j - 1) (-1)^(k_j (k_j + 1)/2)
+    R_j(0)^(k_j + 1), with h_(-1) = 1; every later h_n is zero."""
     if len(seq) < 2 * n_max + 1:
         raise ValueError(f"need {2 * n_max + 1} terms for h_0..h_{n_max}")
-    a, c = _bareiss(seq, n_max, pivot=False)
-    return [Fraction(a[k][k], c ** (k + 1)) for k in range(len(a))] + [
-        hankel(seq, n) for n in range(len(a), n_max + 1)
-    ]
+    h: list[Fraction] = []
+    last = Fraction(1)
+    for k, r, den in _hfraction(seq, n_max):
+        sign = (-1) ** (k * (k + 1) // 2)
+        last = Fraction(sign * last.numerator * r[0] ** (k + 1), last.denominator * den ** (k + 1))
+        h += [Fraction(0)] * k + [last]
+    return h + [Fraction(0)] * (n_max + 1 - len(h))
 
 
 # -- Jacobi continued fractions ---------------------------------------------
 
 
 def jfraction(m: Sequence[Fraction], depth: int) -> Recurrence:
-    """Expand the OGF of ``m`` as a J-fraction by Hankel determinant ratios.
+    """Expand the OGF of ``m`` as a J-fraction, the H-fraction whose k_j are
+    all zero.
 
-    Returns b_0..b_{depth-1} and lambda_1..lambda_depth: lambda_n =
-    h_n h_{n-2} / h_{n-1}^2 and b_n = e_n - e_{n-1}, with e_n the minor h_n
-    with column n replaced by column n+1, over h_n.  All are read off one
-    elimination pass over the (depth+1)-square Hankel matrix, where the
-    powers of its scale cancel.  ``m`` must supply at least 2*depth + 1
+    Returns b_0..b_{depth-1} and lambda_1..lambda_depth: lambda_j = v_j =
+    R_j(0)/R_(j-1)(0) and b_j = -u_(j+1) = e_j - e_(j-1), with e_j =
+    R_j[1]/R_j[0] and e_(-1) = 0.  ``m`` must supply at least 2*depth + 1
     terms.  A vanishing h_k before the requested depth means a vanishing
     lambda_k; that raises rather than guessing.
     """
@@ -161,17 +185,19 @@ def jfraction(m: Sequence[Fraction], depth: int) -> Recurrence:
         raise ValueError(f"need {2 * depth + 1} moments for depth {depth}")
     if m[0] != 1:
         raise ValueError("moment sequence must start with m_0 = 1")
-    a, _ = _bareiss(m, depth, pivot=False)
-    if len(a) <= depth:
+    levels = _hfraction(m, depth)
+    stop = next((j for j, (k, _, _) in enumerate(levels) if k), len(levels))
+    if stop < depth:
         raise ValueError(
-            f"vanishing Hankel determinant at depth {len(a) - 1}; "
+            f"vanishing Hankel determinant at depth {stop}; "
             "the J-fraction terminates early"
         )
-    h = [1] + [a[k][k] for k in range(depth + 1)]  # h[k + 1] = c^{k+1} h_k, h_{-1} = 1
-    e = [0] + [Fraction(a[k][k + 1], a[k][k]) for k in range(depth)]
+    # lambda_j = R_j(0) / R_(j-1)(0); lambda_depth = 0 when level depth is absent.
+    lam = [Fraction(r[0] * d0, den * p[0]) for (_, p, d0), (_, r, den) in zip(levels, levels[1:])]
+    e = [0] + [Fraction(r[1], r[0]) for _, r, _ in levels[:depth]]
     return Recurrence(
-        b=tuple(e[k + 1] - e[k] for k in range(depth)),
-        lam=tuple(Fraction(h[k + 1] * h[k - 1], h[k] ** 2) for k in range(1, depth + 1)),
+        b=tuple(e[j + 1] - e[j] for j in range(depth)),
+        lam=tuple(lam) + (Fraction(0),) * (depth - len(lam)),
     )
 
 

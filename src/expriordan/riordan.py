@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .series import Series, _powers, format_rational, one, x
+from .series import Series, _compose, _powers, format_rational, one, x
 
 __all__ = [
     "TriMatrix",
@@ -249,7 +249,10 @@ def multiply(a: ExpRiordan, b: ExpRiordan) -> ExpRiordan:
     """Group law: [g, f] . [u, v] = [g * u(f), v(f)]."""
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    return build(a.g * b.g.compose(a.f), b.f.compose(a.f))
+    n = a.order
+    rows = _powers([1], a.f.coeffs, n)  # one power table for both compositions
+    u, v = (Series(tuple(_compose(s.coeffs, rows, n))) for s in (b.g, b.f))
+    return build(a.g * u, v)
 
 
 def inverse(a: ExpRiordan) -> ExpRiordan:

@@ -131,15 +131,19 @@ def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[tuple[
     return rows
 
 
-def _compose(outer: Sequence[Fraction], inner: Sequence[Fraction], n: int) -> list[Fraction]:
-    # sum_k outer_k x^k (inner/x)^k; as inner[0] == 0, outer above x^n adds nothing.
+def _compose(
+    outer: Sequence[Fraction], rows: list[tuple[list[int], int]], n: int
+) -> list[Fraction]:
+    """outer(inner) through x^n, from rows = _powers([1], inner, m) with m >= n:
+    sum_k outer_k x^k (inner/x)^k, each row cut at x^(n-k).  As inner[0] == 0,
+    outer above x^n adds nothing."""
     on, od = _scaled(outer, n)
-    rows = _powers([1], inner, n)
+    rows = rows[: n + 1]
     d = lcm(*(dk for _, dk in rows))
     out = [0] * (n + 1)
     for k, (r, dk) in enumerate(rows):
         c = on[k] * (d // dk)
-        for j, v in enumerate(r, k):
+        for j, v in enumerate(r[: n + 1 - k], k):
             out[j] += c * v
     return [Fraction(v, d * od) for v in out]
 
@@ -207,13 +211,13 @@ def _revert(f: Sequence[Fraction], n: int) -> list[Fraction]:
     m = 1
     for top in [n >> i for i in range(n.bit_length() - 2, -1, -1)]:
         # f(g) - x vanishes through x^m, so f'(g) is needed only to order
-        # top - m - 1.
-        fg = _compose(f, g, top)
+        # top - m - 1; both compositions read one power table of g.
+        rows = _powers([1], g, top)
         low = top - m - 1
-        corr = _div(fg[m + 1 :], _compose(fp, g, low), low)
+        corr = _div(_compose(f, rows, top)[m + 1 :], _compose(fp, rows, low), low)
         g = g[: m + 1] + [-c for c in corr]
         m = top
-    err = _compose(f, g, n)
+    err = _compose(f, _powers([1], g, n), n)
     err[1] -= 1
     if any(err):
         raise ArithmeticError("Newton reversion failed to converge")
@@ -336,7 +340,8 @@ class Series:
         self._require_same_order(inner)
         if inner.coeffs[0] != 0:
             raise ValueError("composition requires an inner series with zero constant term")
-        return Series(tuple(_compose(self.coeffs, inner.coeffs, self.order)))
+        n = self.order
+        return Series(tuple(_compose(self.coeffs, _powers([1], inner.coeffs, n), n)))
 
     def revert(self) -> "Series":
         """Compositional inverse: g with self(g(x)) = g(self(x)) = x."""

@@ -262,6 +262,9 @@ def test_sample_grid_validation():
         SampleGrid(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         SampleGrid(0.0, 1.0, 1)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SampleGrid(lo, hi, 3)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 24])

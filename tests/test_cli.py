@@ -258,6 +258,13 @@ LIBRARY_ERRORS = [
         ("plotdata", "tanh", "--tmin", "1", "--tmax", "0"),
         "error: t_min must be strictly below t_max\n",
     ),
+    # A non-finite bound used to print a nan row and exit 0.
+    (
+        ("plotdata", "tanh", "--tmax", "inf", "--samples", "3"),
+        "error: t_min and t_max must be finite\n",
+    ),
+    # exp(800) overflows in the float evaluator; this used to be a traceback.
+    (("plotdata", "gompertz", "--tmin", "-800", "--tmax", "-700"), "error: math range error\n"),
 ]
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from expriordan.orthopoly import (
 )
 from expriordan.production import JacobiParams
 from expriordan.riordan import format_polynomial, mat_inverse
+from expriordan.series import series
 
 
 TANH_PARAMS = JacobiParams(0, -2, 0, -1)
@@ -247,6 +249,86 @@ def test_hankel_transform_matches_determinants(case):
     assert hankel(seq, n) == want[n]
 
 
+def _monomial(c, k: int, order: int):
+    """c x^k as an order-``order`` jet (zero when k > order)."""
+    return series([0] * k + [c] if k <= order else [], order)
+
+
+@st.composite
+def block_sequences(draw, max_n=9):
+    """(seq, n, nonzero): 2n+1 terms whose leading Hankel minors vanish in
+    blocks.  ``nonzero`` is the set of n with h_n != 0 when the sequence is
+    expanded from a drawn H-fraction, else None.
+
+    Kinds: an H-fraction v_0 x^k_0 / (1 + u_1(x) x - v_1 x^(k_0+k_1+2) / ...)
+    with k_j up to 3, expanded from its last level up; a run of leading
+    zeros; a zero at every second or third term; and the drawn cases of
+    ``hankel_sequences``."""
+    kind = draw(st.sampled_from(("hfraction", "leading", "sparse", "drawn")))
+    if kind == "drawn":
+        seq, n = draw(hankel_sequences(max_n=max_n))
+        return seq, n, None
+    n = draw(st.integers(0, max_n))
+    order = 2 * n
+    nonzero = None
+    if kind == "hfraction":
+        ks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=max_n + 1))
+        vs = draw(st.lists(HANKEL_TERMS.filter(bool), min_size=len(ks), max_size=len(ks)))
+        us = [draw(st.lists(HANKEL_TERMS, min_size=k + 1, max_size=k + 1)) for k in ks]
+        tail = series([], order)  # G_J = 0 past the last level
+        for j in reversed(range(len(ks))):
+            # G_j = v_j x^k_j / (1 + u_(j+1)(x) x - x^(k_j+2) G_(j+1))
+            den = series(([1] + us[j])[: order + 1], order)
+            tail = _monomial(vs[j], ks[j], order) / (den - _monomial(1, ks[j] + 2, order) * tail)
+        seq = list(tail.coeffs)
+        # h_n != 0 exactly at n = s_(j+1) - 1, s_(j+1) = (k_0 + 1) + ... + (k_j + 1)
+        nonzero = {s - 1 for s in accumulate(k + 1 for k in ks) if s - 1 <= n}
+    else:
+        seq = draw(st.lists(HANKEL_TERMS, min_size=order + 1, max_size=order + 1))
+        if kind == "leading":
+            zeros = draw(st.integers(1, order + 1))
+            seq[:zeros] = [F(0)] * zeros
+        else:
+            step = draw(st.sampled_from((2, 3)))
+            offset = draw(st.integers(0, step - 1))
+            seq[offset::step] = [F(0)] * len(seq[offset::step])
+    return seq, n, nonzero
+
+
+@given(block_sequences())
+@settings(max_examples=200, deadline=None)
+def test_hankel_transform_matches_determinants_in_blocks(case):
+    seq, n, nonzero = case
+    want = [hankel_det(seq, k) for k in range(n + 1)]
+    if nonzero is not None:  # Han's theorem, on the oracle's determinants
+        assert {k for k, h in enumerate(want) if h} == nonzero
+    assert hankel_transform(seq, n) == want
+    assert hankel(seq, n) == want[n]
+
+
+def _catalog_sequences():
+    for eid in catalog.ids():
+        for side, get in (("forward", pair), ("inverse", catalog.inverse_pair)):
+            try:
+                g, f = get(eid, 24)
+            except ValueError:  # no closed-form inverse pair
+                continue
+            yield pytest.param(g.egf(), id=f"{eid}-{side}-g")
+            yield pytest.param(f.egf(), id=f"{eid}-{side}-f")
+
+
+@pytest.mark.parametrize("seq", list(_catalog_sequences()))
+def test_catalog_hankel_transform_matches_determinants(seq):
+    assert hankel_transform(seq, 12) == [hankel_det(seq, n) for n in range(13)]
+
+
+def test_tanh_hankel_transform_at_32():
+    # m_0 = 0 and every even h_n vanishes: sixteen levels with k_j = 1.
+    assert hankel_formula_check("tanh", 32)
+    seq = pair("tanh", 64)[1].egf()
+    assert hankel_transform(seq, 32) == [hankel_det(seq, n) for n in range(33)]
+
+
 def test_hankel_formula_checks():
     assert hankel_formula_check("sech2", 5)
     assert hankel_formula_check("tanh", 6)
@@ -360,7 +442,29 @@ def test_jfraction_matches_per_level_oracle(case, short):
     # Depth n leaves one spare term; depth n + 1 runs one term short.
     m, depth = case
     depth += short
-    assert _outcome(jfraction, m, depth) == _outcome(jfraction_by_levels, m, depth)
+    got = _outcome(jfraction, m, depth)
+    assert got == _outcome(jfraction_by_levels, m, depth)
+    if not isinstance(got, str):  # then m_0 = 1 and h_0..h_(depth-1) != 0
+        assert got == _outcome(jfraction_by_determinants, m, depth)
+
+
+def test_moment_columns_without_jacobi_data():
+    # The first column of the array, g's EGF, expanded as a J-fraction.  erf
+    # gives a Hermite-type family although its own production matrix is not
+    # tridiagonal; algebraic gives b = 0 and lambda_k that are not polynomial
+    # in k; quartic has h_1 = h_2 = 0, so its J-fraction stops at depth 1.
+    rec = jfraction(pair("erf", 16)[0].egf(), 8)
+    assert rec.b == (0,) * 8
+    assert rec.lam == tuple(-2 * k for k in range(1, 9))
+    rec = jfraction(pair("algebraic", 16)[0].egf(), 8)
+    assert rec.b == (0,) * 8
+    assert rec.lam == (
+        -3, -12, -25, -44, F(-735, 11), F(-5268, 55), F(-281853, 2195), F(-69707280, 416611)
+    )
+    m = pair("quartic", 16)[0].egf()
+    with pytest.raises(ValueError, match="^vanishing Hankel determinant at depth 1;"):
+        jfraction(m, 8)
+    assert hankel_transform(m, 6) == [1, 0, 0, 27000, 1506600000, 0, 0]
 
 
 def test_cf_to_ogf_trivial():

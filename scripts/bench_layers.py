@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_10.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_11.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
@@ -16,14 +16,18 @@ no vanishing minor), ``jfraction_g_egf`` (depth n of sech^2) and
 ``hankel_transform_f_egf`` (h_0..h_n of tanh, whose m_0 = 0 and every even
 h_n vanish).  It also times ``exp_series`` of 1 - e^(-x) and ``log_series``
 of 1 - log(1 + x), the series of the ``gompertz`` entry, ``pow_rational``
-(1 + x^2)^(-3/2), the g of ``algebraic``, and ``catalog.pair`` of
-``gompertz`` and of ``algebraic`` (uncached).
+(1 + x^2)^(-3/2), the g of ``algebraic``, ``catalog.pair`` of ``gompertz``
+and of ``algebraic`` (uncached), and three series divisions (``div``, the
+entry column naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2),
+whose integer divisor keeps the OGF loop.  At orders 48 and 128 it times
+the uncached catalog jets that division builds: ``pair`` of ``tanh``,
+``tanh2`` and ``gudermann`` and ``inverse_pair`` of ``arctan``.
 
 The inputs are built before the timed calls.  Each operation is called up to
 five times, stopping once two seconds of calls are spent; the least wall
 time, which a busy machine can only raise, is recorded with the number of
 calls and the largest numerator or denominator bit-length in the result.
-The numbers go under ``runs[NAME]`` of BENCH_10.json at the repository root
+The numbers go under ``runs[NAME]`` of BENCH_11.json at the repository root
 and other labels are kept, so the numbers of two source trees (say, a parent
 commit's ``src`` and this one's) sit side by side.
 """
@@ -43,9 +47,11 @@ ENTRY = "algebraic"
 JACOBI_ENTRY = "tanh"
 EXP_ENTRY = "gompertz"
 ORDERS = (16, 32, 64)
+PAIR_ORDERS = (48, 128)
+PAIR_ENTRIES = (("pair", "tanh"), ("pair", "tanh2"), ("pair", "gudermann"), ("inverse_pair", "arctan"))
 REPEATS = 5
 BUDGET_S = 2.0
-OUT = ROOT / "BENCH_10.json"
+OUT = ROOT / "BENCH_11.json"
 
 
 def _fractions(obj) -> list:
@@ -81,6 +87,23 @@ def measure() -> list[dict]:
     from expriordan import catalog, orthopoly, production, riordan
     from expriordan.series import exp_series, log_series, pow_rational, series
 
+    def timed(name: str, entry: str, n: int, op) -> dict:
+        times: list[float] = []
+        while len(times) < REPEATS and sum(times) < BUDGET_S:
+            start = time.perf_counter()
+            result = op()
+            times.append(time.perf_counter() - start)
+        row = {
+            "operation": name,
+            "entry": entry,
+            "order": n,
+            "min_s": round(min(times), 6),
+            "calls": len(times),
+            "bits": max_bits(result),
+        }
+        print(f"{name:24s} {entry:12s} n={n:3d}  {row['min_s']:.6f} s  {row['bits']} bits")
+        return row
+
     rows = []
     for n in ORDERS:
         g, f = catalog.pair(ENTRY, n)
@@ -93,6 +116,8 @@ def measure() -> list[dict]:
         gompertz_u = 1 - catalog.expx_series(n, scale=-1)
         gompertz_w = 1 - catalog.log1p_series(n)
         square = series([1, 0, 1], order=n)
+        sinh, cosh = catalog.sinh_series(n), catalog.cosh_series(n)
+        fib = series([1, -1, -1], order=n)
         ops = [
             ("revert", ENTRY, lambda: f.revert()),
             ("compose", ENTRY, lambda: f.compose(fbar)),
@@ -117,24 +142,15 @@ def measure() -> list[dict]:
             ("pow_rational", ENTRY, lambda: pow_rational(square, "-3/2")),
             ("pair", EXP_ENTRY, lambda: catalog.pair.__wrapped__(EXP_ENTRY, n)),
             ("pair", ENTRY, lambda: catalog.pair.__wrapped__(ENTRY, n)),
+            ("div", "sinh/cosh", lambda: sinh / cosh),
+            ("div", "1/cosh", lambda: 1 / cosh),
+            ("div", "1/(1-x-x^2)", lambda: 1 / fib),
         ]
-        for name, entry, op in ops:
-            times: list[float] = []
-            while len(times) < REPEATS and sum(times) < BUDGET_S:
-                start = time.perf_counter()
-                result = op()
-                times.append(time.perf_counter() - start)
-            rows.append(
-                {
-                    "operation": name,
-                    "entry": entry,
-                    "order": n,
-                    "min_s": round(min(times), 6),
-                    "calls": len(times),
-                    "bits": max_bits(result),
-                }
-            )
-            print(f"{name:24s} {entry:10s} n={n:2d}  {rows[-1]['min_s']:.6f} s  {rows[-1]['bits']} bits")
+        rows += [timed(name, entry, n, op) for name, entry, op in ops]
+    for n in PAIR_ORDERS:
+        for getter, entry in PAIR_ENTRIES:
+            op = getattr(catalog, getter).__wrapped__
+            rows.append(timed(getter, entry, n, lambda: op(entry, n)))
     return rows
 
 
@@ -149,6 +165,7 @@ def main() -> int:
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.setdefault("script", "scripts/bench_layers.py")
     doc.setdefault("orders", list(ORDERS))
+    doc.setdefault("pair_orders", list(PAIR_ORDERS))
     doc.setdefault("statistic", "least wall time over up to five calls, or two seconds of calls")
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),

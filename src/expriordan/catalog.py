@@ -167,6 +167,9 @@ class CatalogEntry:
     fprime_eval: Callable[[float], float]
     inverse_g: Optional[PairBuilder] = None
     inverse_f: Optional[PairBuilder] = None
+    # g and f from one call, for entries whose two series share their work;
+    # pair() uses it in place of g_series and f_series.
+    pair_series: Optional[Callable[[int], tuple[Series, Series]]] = None
     a_closed: Optional[PairBuilder] = None
     z_closed: Optional[PairBuilder] = None
     inverse_a_closed: Optional[PairBuilder] = None
@@ -175,18 +178,16 @@ class CatalogEntry:
     inverse_jacobi: Optional[JacobiParams] = None
 
 
-def _tanh_g(order: int) -> Series:
+def _tanh_pair(order: int) -> tuple[Series, Series]:
+    """(sech^2, tanh) from one tanh jet."""
     t = tanh_series(order)
-    return 1 - t * t
+    return 1 - t * t, t
 
 
-def _tanh2_f(order: int) -> Series:
-    return tanh_series(order).scale_argument(2) / 2
-
-
-def _tanh2_g(order: int) -> Series:
+def _tanh2_pair(order: int) -> tuple[Series, Series]:
+    """(sech^2(2x), tanh(2x)/2) from one tanh jet."""
     t = tanh_series(order).scale_argument(2)
-    return 1 - t * t
+    return 1 - t * t, t / 2
 
 
 def _geom_x2(c: int, order: int) -> Series:
@@ -238,7 +239,7 @@ _register(
         f_label="tanh(x)",
         notes="rescaled logistic; both production routes tridiagonal",
         is_sigmoid=True,
-        g_series=_tanh_g,
+        g_series=lambda n: _tanh_pair(n)[0],
         f_series=tanh_series,
         f_eval=math.tanh,
         fprime_eval=lambda t: 1.0 / math.cosh(t) ** 2,
@@ -247,6 +248,7 @@ _register(
         a_closed=lambda n: _poly([1, 0, -1], n),
         z_closed=lambda n: _poly([0, -2], n),
         jacobi=JacobiParams(0, -2, 0, -1),
+        pair_series=_tanh_pair,
     )
 )
 
@@ -257,8 +259,8 @@ _register(
         f_label="tanh(2x)/2",
         notes="argument-doubled variant of tanh; entries scale by 2^(n-k)",
         is_sigmoid=True,
-        g_series=_tanh2_g,
-        f_series=_tanh2_f,
+        g_series=lambda n: _tanh2_pair(n)[0],
+        f_series=lambda n: _tanh2_pair(n)[1],
         f_eval=lambda t: 0.5 * math.tanh(2.0 * t),
         fprime_eval=lambda t: 1.0 / math.cosh(2.0 * t) ** 2,
         inverse_g=lambda n: _geom_x2(4, n),
@@ -266,6 +268,7 @@ _register(
         a_closed=lambda n: _poly([1, 0, -4], n),
         z_closed=lambda n: _poly([0, -8], n),
         jacobi=JacobiParams(0, -8, 0, -4),
+        pair_series=_tanh2_pair,
     )
 )
 
@@ -445,6 +448,8 @@ def entry(entry_id: str) -> CatalogEntry:
 @lru_cache(maxsize=None)
 def pair(entry_id: str, order: int) -> tuple[Series, Series]:
     e = entry(entry_id)
+    if e.pair_series is not None:
+        return e.pair_series(order)
     return e.g_series(order), e.f_series(order)
 
 

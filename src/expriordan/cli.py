@@ -24,8 +24,9 @@ from .series import Series, format_rational, from_egf, series
 
 DEFAULT_ORDER = 16
 # Largest --order, --n and --depth accepted: the largest size the tests and
-# benchmarks use.  `hankel tanh --n 64` takes 0.5 s (Python 3.11, shared 2-core
-# x86_64), almost all of it tanh's order-128 jet; that jet at order 256 takes 18 s.
+# benchmarks use.  `hankel tanh --n 64` takes 0.17-0.21 s (Python 3.11, shared
+# 2-core x86_64), mostly interpreter start-up and import; tanh's order-128 jet
+# takes 14 ms of it, and that jet at order 256 takes 84 ms.
 MAX_SIZE = 64
 
 

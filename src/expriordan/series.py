@@ -9,7 +9,13 @@ result is normalized once at the end.  Composition and the columns of an
 exponential Riordan array read one table of powers (f/x)^k.  Reversion is
 Newton iteration that doubles its working order and checks f(g) = x exactly.
 exp and log are one integer recurrence in exponential coordinates, E' = u'E,
-solved for E by exp and for u by log.
+solved for E by exp and for u by log.  Division takes whichever coordinates
+keep its integers smaller, per call: long division on OGF numerators, which
+scales by (common denominator of b)^n, or the EGF recurrence
+A_m = sum_j C(m, j) Q_j B_(m-j), which scales by D^m * m!.  The sigmoids'
+divisors cosh and cos have OGF denominators m! but EGF coefficients 1, 0,
++-1, 0, ..., so at large order they take the EGF loop; an integer divisor
+such as 1 - x - x^2 keeps the OGF loop, where m! would only add bits.
 
 Binary operations require operands of equal order -- mixing orders would
 silently discard precision, so it raises instead.  Equality is strict too:
@@ -104,6 +110,31 @@ def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
         raise ZeroDivisionError("division by a series with zero constant term")
     an, ad = _scaled(a, n)
     bn, bd = _scaled(b, n)
+    # Coordinates by size.  For b_0 = 1 the OGF loop below carries q_k times
+    # bd^n * ad, and the EGF loop carries q_m times e * D^m * m!, with D the
+    # EGF scale of a and b and e the denominator of a_0.  An EGF step makes
+    # two products a term and a Pascal row, so it pays only once the OGF
+    # scale's bits pass twice the EGF scale's at m = n by a margin of 2048
+    # bits; the two loops tie on sinh/cosh at order 24 (1995 OGF bits against
+    # 105) and EGF is 1.4x faster at 32.  D is computed only for an OGF scale
+    # past the margin.
+    ogf_bits = n * bd.bit_length() + ad.bit_length()
+    if ogf_bits > 2048 and b[0] == 1:
+        a = [*a[: n + 1], *[Fraction(0)] * (n + 1 - len(a))]
+        b = [*b[: n + 1], *[Fraction(0)] * (n + 1 - len(b))]
+        d, e = lcm(_egf_scale(a), _egf_scale(b)), a[0].denominator
+        egf_bits = n * d.bit_length() + e.bit_length() + factorial(n).bit_length()
+        if ogf_bits > 2 * egf_bits + 2048:
+            # With A_m, B_m, Q_m the EGF coefficients of a, b and a/b times
+            # e * D^m (so B_0 = 1), A_m = sum_{j<=m} C(m, j) Q_j B_(m-j).
+            q: list[int] = []
+            rb = _egf_scaled(b, d)[::-1]
+            row = [1]  # C(m, j) for j = 0..m
+            for m, am in enumerate(_egf_scaled(a, d)):
+                qb = map(int.__mul__, q, rb[n - m : n])
+                q.append(am - sum(map(int.__mul__, qb, row)))
+                row = [1, *map(int.__add__, row, row[1:]), 1]
+            return _egf_unscaled(q, d, e)
     rb = bn[::-1]
     b0 = bn[0]
     p = b0 ** (n + 1)
@@ -156,21 +187,34 @@ def _integrate(a: Sequence[Fraction]) -> list[Fraction]:
     return [Fraction(0)] + [a[k] / (k + 1) for k in range(len(a))]
 
 
-def _egf_scaled(a: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers D^m * m! * a_m for every m, and their scale D, the lcm of the
-    denominators of the m! * a_m; a[0] must be an integer."""
-    egf = []
+def _egf_scale(a: Sequence[Fraction]) -> int:
+    """The lcm of the denominators of m! * a_m for m >= 1: the least D for
+    which every D^m * m! * a_m with m >= 1 is an integer."""
+    dens = []
     f = 1
-    for m, c in enumerate(a):
-        f *= m or 1
-        g = gcd(f, c.denominator)
-        egf.append((c.numerator * (f // g), c.denominator // g))
-    d = lcm(*(q for _, q in egf))
-    out, p = [], 1
-    for num, q in egf:
-        out.append(num * (p // q))
-        p *= d
-    return out, d
+    for m, c in enumerate(a[1:], 1):
+        f *= m
+        dens.append(c.denominator // gcd(f, c.denominator))
+    return lcm(*dens)
+
+
+def _egf_scaled(a: Sequence[Fraction], d: int) -> list[int]:
+    """Integers e * d^m * m! * a_m for every m, where e is the denominator of
+    a_0 (1 when a_0 is an integer) and d is a multiple of _egf_scale(a)."""
+    out, p = [], a[0].denominator
+    for m, c in enumerate(a, 1):
+        out.append(c.numerator * p // c.denominator)
+        p *= d * m
+    return out
+
+
+def _egf_unscaled(v: Sequence[int], d: int, e: int = 1) -> list[Fraction]:
+    """The c_m = v_m / (e * d^m * m!): the inverse of _egf_scaled."""
+    out, p = [], e
+    for m, c in enumerate(v, 1):
+        out.append(Fraction(c, p))
+        p *= d * m
+    return out
 
 
 def _exp_log(s: Sequence[Fraction], log: bool) -> list[Fraction]:
@@ -179,7 +223,8 @@ def _exp_log(s: Sequence[Fraction], log: bool) -> list[Fraction]:
     # X_j = D^j a_j and Y_m = D^m e_m are integers under the same relation,
     # Y_m = X_m + sum_{j=1..m-1} C(m-1, j-1) X_j Y_{m-j}.  exp solves it for
     # Y given X (u = s, u_0 = 0); log solves it for X given Y (s_0 = 1).
-    known, d = _egf_scaled(s)
+    d = _egf_scale(s)
+    known = _egf_scaled(s, d)
     n = len(known) - 1
     deg = max((m for m, v in enumerate(known) if v), default=0)
     # X_j vanishes for j > dx and Y_i for i > dy, so those terms are skipped.
@@ -194,11 +239,7 @@ def _exp_log(s: Sequence[Fraction], log: bool) -> list[Fraction]:
         else:
             ys.append(xs[m] + t)
         row = [1, *map(int.__add__, row, row[1:]), 1]
-    out, q = [], 1
-    for m, v in enumerate(xs if log else ys):
-        out.append(Fraction(v, q))
-        q *= d * (m + 1)
-    return out
+    return _egf_unscaled(xs if log else ys, d)
 
 
 def _revert(f: Sequence[Fraction], n: int) -> list[Fraction]:

@@ -1,7 +1,9 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the implementation paths it
-checks: reversion is cross-checked by Lagrange inversion; exp by the
+checks: reversion is cross-checked by Lagrange inversion; series division
+by schoolbook long division over Fractions, where the library picks OGF or
+EGF integer coordinates by the operands' sizes; exp by the
 ordinary-coefficient recurrence and log by long division and integration,
 where the library runs both on one integer recurrence in EGF coordinates;
 arrays, composition and the analytic production matrix by schoolbook loops
@@ -38,6 +40,17 @@ def lagrange_revert(f: Series) -> Series:
         p = p * w
         out[m] = p[m - 1] / m
     return Series(tuple(out))
+
+
+def div_by_long_division(a: Series, b: Series) -> Series:
+    """a/b for b_0 != 0 by schoolbook long division over Fractions,
+    q_k = (a_k - sum_{j<k} q_j b_{k-j}) / b_0."""
+    n = a.order
+    assert b.order == n and b[0] != 0
+    q: list[Fraction] = []
+    for k in range(n + 1):
+        q.append((a[k] - sum((q[j] * b[k - j] for j in range(k)), Fraction(0))) / b[0])
+    return Series(tuple(q))
 
 
 def exp_by_ogf_recurrence(u: Series) -> Series:
@@ -324,7 +337,8 @@ def random_riordan_pair(rng: random.Random, order: int) -> ExpRiordan:
 HANKEL_FORMULA_IDS = ("sech2", "tanh", "sec2_moments")
 
 
-def _hankel_formula(kind: str, n: int) -> Fraction:
+def hankel_formula(kind: str, n: int) -> Fraction:
+    """The closed-form h_n of the named sequence (see HANKEL_FORMULA_IDS)."""
     if kind == "sech2":
         prod = Fraction(1)
         for k in range(n + 1):
@@ -360,4 +374,4 @@ def _formula_sequence(kind: str, order: int) -> tuple[Fraction, ...]:
 def hankel_formula_check(kind: str, n_max: int) -> bool:
     """Compare the closed product formula with the exact determinants."""
     seq = _formula_sequence(kind, 2 * n_max)
-    return all(_hankel_formula(kind, n) == hankel_det(seq, n) for n in range(n_max + 1))
+    return all(hankel_formula(kind, n) == hankel_det(seq, n) for n in range(n_max + 1))

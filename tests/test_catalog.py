@@ -2,12 +2,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from helpers import div_by_long_division, naive_mul
 
 from expriordan import catalog
 from expriordan.catalog import (
     SampleGrid,
     build_entry,
     build_inverse_entry,
+    cos_series,
+    cosh_series,
     entry,
     erf_identity,
     expx_series,
@@ -18,6 +21,7 @@ from expriordan.catalog import (
     pair,
     sample_curve,
     sample_parametric,
+    sin_series,
     sinh_series,
     stirling2,
     tan_series,
@@ -291,3 +295,37 @@ def test_ogf_generators_match_their_definitions(order):
 
 def test_pair_is_cached():
     assert pair("tanh", 10) is pair("tanh", 10)
+
+
+def test_pair_matches_the_entry_builders():
+    for eid in ids():
+        e = entry(eid)
+        assert pair.__wrapped__(eid, 10) == (e.g_series(10), e.f_series(10))
+
+
+@pytest.mark.parametrize("eid", ["tanh", "tanh2"])
+def test_tanh_pairs_expand_tanh_once(eid, monkeypatch):
+    orders = []
+    tanh_series = catalog.tanh_series
+
+    def counted(order):
+        orders.append(order)
+        return tanh_series(order)
+
+    monkeypatch.setattr(catalog, "tanh_series", counted)
+    pair.__wrapped__(eid, 12)
+    assert orders == [12]
+
+
+def test_catalog_quotients_at_order_128():
+    # At order 128 these quotients take the EGF loop; the oracle is long
+    # division over Fractions of the same operands.
+    n = 128
+    t = div_by_long_division(sinh_series(n), cosh_series(n))
+    assert pair("tanh", n) == (1 - naive_mul(t, t), t)
+    t2 = t.scale_argument(2)
+    assert pair("tanh2", n) == (1 - naive_mul(t2, t2), t2 / 2)
+    assert pair("gudermann", n)[0] == div_by_long_division(one(n), cosh_series(n))
+    sec = div_by_long_division(one(n), cos_series(n))
+    tan = div_by_long_division(sin_series(n), cos_series(n))
+    assert inverse_pair("arctan", n) == (naive_mul(sec, sec), tan)

@@ -2,6 +2,7 @@ import json
 import sys
 
 import pytest
+from helpers import hankel_formula
 
 from expriordan.cli import main
 from expriordan.catalog import build_entry
@@ -92,6 +93,19 @@ def test_hankel_tanh(capsys):
     code, out, _ = run(capsys, "hankel", "tanh", "--n", "5")
     assert code == 0
     assert out.strip() == "0, -1, 0, 144, 0, -1194393600"
+
+
+def test_hankel_tanh_at_the_size_limit(capsys):
+    # h_0..h_64 of tanh's EGF read off its order-128 jet, against the closed form.
+    code, out, _ = run(capsys, "hankel", "tanh", "--n", "64")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # h_63 has about 4800 digits
+    try:
+        want = ", ".join(str(hankel_formula("tanh", n)) for n in range(65))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == want + "\n"
 
 
 def test_hankel_explicit_sequence(capsys):

@@ -1,5 +1,6 @@
 import importlib
 from fractions import Fraction as F
+from math import factorial, lcm
 
 import pytest
 import hypothesis.strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 
 from conftest import jets, mixed_jets, mixed_rationals, sigmoid_like, small_rationals, units
 from helpers import (
+    div_by_long_division,
     egf_convolution,
     euler_numbers,
     exp_by_ogf_recurrence,
@@ -31,9 +33,11 @@ from expriordan.series import (
 )
 from expriordan.catalog import (
     artanh_series,
+    cos_series,
     cosh_series,
     expx_series,
     gd_series,
+    log1p_series,
     sech_series,
     sin_series,
     sinh_series,
@@ -135,6 +139,87 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=40)
 def test_division_inverts_multiplication(a, b):
     assert (a * b) / b == a
+
+
+_non_integers = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(
+    lambda q: q.denominator > 1
+)
+
+
+def _divisors(order: int):
+    """Order-N jets with b_0 != 0, of four kinds: factorial denominators
+    (integer EGF coefficients, b_0 = 1: cosh, cos and sec are of this kind),
+    sparse integer polynomials (1 - x - x^2), either kind times a constant
+    b_0 != 1, and mixed denominators with any nonzero b_0."""
+    egf = st.lists(st.integers(-3, 3), min_size=order, max_size=order).map(
+        lambda cs: from_egf([1, *cs])
+    )
+    sparse = st.lists(st.integers(-2, 2), max_size=3).map(
+        lambda cs: series([1, *cs][: order + 1], order=order)
+    )
+    scaled = st.tuples(st.one_of(egf, sparse), small_rationals.filter(lambda c: c not in (0, 1)))
+    nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+    mixed = st.tuples(nonzero, mixed_jets(order)).map(lambda t: Series((t[0], *t[1].coeffs[1:])))
+    return st.one_of(egf, sparse, scaled.map(lambda t: t[0] * t[1]), mixed)
+
+
+def _dividends(order: int):
+    """Order-N jets: integer EGF coefficients, mixed denominators, and either
+    kind with a non-integer constant term (as in reversion's residuals)."""
+    egf = st.lists(st.integers(-9, 9), min_size=order + 1, max_size=order + 1).map(from_egf)
+    plain = st.one_of(egf, mixed_jets(order))
+    shifted = st.tuples(_non_integers, plain).map(lambda t: Series((t[0], *t[1].coeffs[1:])))
+    return st.one_of(plain, shifted)
+
+
+def _check_division(a: Series, b: Series) -> None:
+    q = a / b
+    assert q.coeffs == div_by_long_division(a, b).coeffs
+    assert naive_mul(q, b) == a
+    c = a[0]
+    assert (c / b).coeffs == div_by_long_division(c * one(a.order), b).coeffs
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=24))
+@settings(max_examples=150, deadline=None)
+def test_division_matches_long_division(data, order):
+    _check_division(data.draw(_dividends(order)), data.draw(_divisors(order)))
+
+
+# From about order 26 the factorial-denominator divisors take the EGF loop.
+@given(data=st.data(), order=st.integers(min_value=25, max_value=48))
+@settings(max_examples=25, deadline=None)
+def test_division_matches_long_division_at_higher_orders(data, order):
+    _check_division(data.draw(_dividends(order)), data.draw(_divisors(order)))
+
+
+def test_division_coordinates_follow_operand_sizes(monkeypatch):
+    # The EGF loop is the only caller of _egf_scaled in a division; it is
+    # taken for cosh- and cos-like divisors at large order, and never for an
+    # integer polynomial, for b_0 != 1 or at small order.
+    mod = importlib.import_module("expriordan.series")
+    scaled, calls = mod._egf_scaled, []
+
+    def counted(a, d):
+        calls.append(len(a))
+        return scaled(a, d)
+
+    monkeypatch.setattr(mod, "_egf_scaled", counted)
+    gompertz = [series([1, 1], order=n) * (1 - log1p_series(n)) for n in (24, 64)]
+    cases = [
+        (sinh_series(64), cosh_series(64), True),
+        (F(1, 3) + sinh_series(64), cosh_series(64), True),  # e = 3
+        (one(64), cos_series(64), True),
+        (one(64), gompertz[1], True),
+        (one(24), gompertz[0], False),
+        (sinh_series(8), cosh_series(8), False),
+        (sinh_series(64), 2 * cosh_series(64), False),
+        (one(64), series([1, -1, -1], order=64), False),
+    ]
+    for a, b, egf in cases:
+        calls.clear()
+        assert (a / b).coeffs == div_by_long_division(a, b).coeffs
+        assert bool(calls) == egf, (a.order, b.coeffs[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +417,25 @@ def test_exp_matches_ogf_recurrence(data, order):
 def test_log_matches_integration(data, order):
     s = data.draw(_exp_log_inputs(order, 1))
     assert log_series(s).coeffs == log_by_integration(s).coeffs
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=12), k=st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_egf_scaled_contract(data, order, k):
+    # _egf_scaled(a, d) is e * d^m * m! * a_m with e the denominator of a_0,
+    # for any multiple d of _egf_scale(a), the lcm of the denominators of
+    # m! * a_m (m >= 1); _egf_unscaled inverts it.  A non-integer a_0 only
+    # sets e, as in the residuals that reversion divides.
+    head = data.draw(st.one_of(_non_integers, st.integers(-3, 3).map(F)))
+    a = data.draw(st.one_of(mixed_jets(order, head=(head,)), _dividends(order))).coeffs
+    mod = importlib.import_module("expriordan.series")
+    scale = mod._egf_scale(a)
+    assert scale == lcm(*((factorial(m) * c).denominator for m, c in enumerate(a) if m))
+    d, e = k * scale, a[0].denominator
+    v = mod._egf_scaled(a, d)
+    assert all(type(c) is int for c in v)
+    assert v == [e * d**m * factorial(m) * c for m, c in enumerate(a)]
+    assert mod._egf_unscaled(v, d, e) == list(a)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 24])

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_11.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_12.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
@@ -19,15 +19,15 @@ of 1 - log(1 + x), the series of the ``gompertz`` entry, ``pow_rational``
 (1 + x^2)^(-3/2), the g of ``algebraic``, ``catalog.pair`` of ``gompertz``
 and of ``algebraic`` (uncached), and three series divisions (``div``, the
 entry column naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2),
-whose integer divisor keeps the OGF loop.  At orders 48 and 128 it times
-the uncached catalog jets that division builds: ``pair`` of ``tanh``,
-``tanh2`` and ``gudermann`` and ``inverse_pair`` of ``arctan``.
+whose integer divisor keeps the OGF loop.  At orders 24, 48 and 128 it
+times the uncached catalog jets: ``pair`` of every entry and
+``inverse_pair`` of ``arctan``.
 
 The inputs are built before the timed calls.  Each operation is called up to
 five times, stopping once two seconds of calls are spent; the least wall
 time, which a busy machine can only raise, is recorded with the number of
 calls and the largest numerator or denominator bit-length in the result.
-The numbers go under ``runs[NAME]`` of BENCH_11.json at the repository root
+The numbers go under ``runs[NAME]`` of BENCH_12.json at the repository root
 and other labels are kept, so the numbers of two source trees (say, a parent
 commit's ``src`` and this one's) sit side by side.
 """
@@ -47,11 +47,10 @@ ENTRY = "algebraic"
 JACOBI_ENTRY = "tanh"
 EXP_ENTRY = "gompertz"
 ORDERS = (16, 32, 64)
-PAIR_ORDERS = (48, 128)
-PAIR_ENTRIES = (("pair", "tanh"), ("pair", "tanh2"), ("pair", "gudermann"), ("inverse_pair", "arctan"))
+PAIR_ORDERS = (24, 48, 128)
 REPEATS = 5
 BUDGET_S = 2.0
-OUT = ROOT / "BENCH_11.json"
+OUT = ROOT / "BENCH_12.json"
 
 
 def _fractions(obj) -> list:
@@ -147,8 +146,9 @@ def measure() -> list[dict]:
             ("div", "1/(1-x-x^2)", lambda: 1 / fib),
         ]
         rows += [timed(name, entry, n, op) for name, entry, op in ops]
+    jets = [("pair", eid) for eid in catalog.ids()] + [("inverse_pair", "arctan")]
     for n in PAIR_ORDERS:
-        for getter, entry in PAIR_ENTRIES:
+        for getter, entry in jets:
             op = getattr(catalog, getter).__wrapped__
             rows.append(timed(getter, entry, n, lambda: op(entry, n)))
     return rows

@@ -49,11 +49,8 @@ def main() -> int:
     inv_prod = production_definitional(inverse(build_entry("cos_sin", n)))
     show("production of [cos, sin]^{-1}, leading 7x7", inv_prod.leading(7).render_text())
 
-    fam = row_polynomials(build_entry("algebraic", 6))
-    show(
-        "row polynomials of the algebraic sigmoid array",
-        "\n".join(fam.format(i) for i in range(7)),
-    )
+    polys = row_polynomials(build_entry("algebraic", 6))
+    show("row polynomials of the algebraic sigmoid array", "\n".join(map(format_polynomial, polys)))
 
     g, f = pair("tanh", 32)
     show("Hankel transform of the sech^2 expansion", str(hankel_transform(g.egf(), 6)))

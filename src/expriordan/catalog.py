@@ -1,9 +1,12 @@
 """Named sigmoid pairs and auxiliary arrays, with exact series generators.
 
-Each entry packages a pair (g, f) with g = f' for the sigmoid entries, the
-float evaluators used for plot sampling, the stated inverse pair where one
-has a closed form, and the tridiagonal production data where the entry (or
-its inverse) carries a family of formally orthogonal polynomials.
+The sigmoid entries are elements [f', f] of the derivative subgroup, which g
+alone fixes: each entry states g, and :func:`pair` takes f = int_0^x g.  The
+one entry outside the subgroup, ``pascal`` = [e^x, x], states f as well.
+Each entry also carries the float evaluators used for plot sampling, the
+stated inverse pair where one has a closed form, and the tridiagonal
+production data where the entry (or its inverse) carries a family of
+formally orthogonal polynomials.
 
 Transcendental constants are normalized away so every series stays over
 the rationals: the error-function entry uses int_0^x exp(-t^2) dt, which
@@ -162,14 +165,12 @@ class CatalogEntry:
     notes: str
     is_sigmoid: bool
     g_series: PairBuilder
-    f_series: PairBuilder
     f_eval: Callable[[float], float]
     fprime_eval: Callable[[float], float]
+    # Only for a pair outside the derivative subgroup; otherwise f = int g.
+    f_series: Optional[PairBuilder] = None
     inverse_g: Optional[PairBuilder] = None
     inverse_f: Optional[PairBuilder] = None
-    # g and f from one call, for entries whose two series share their work;
-    # pair() uses it in place of g_series and f_series.
-    pair_series: Optional[Callable[[int], tuple[Series, Series]]] = None
     a_closed: Optional[PairBuilder] = None
     z_closed: Optional[PairBuilder] = None
     inverse_a_closed: Optional[PairBuilder] = None
@@ -178,26 +179,9 @@ class CatalogEntry:
     inverse_jacobi: Optional[JacobiParams] = None
 
 
-def _tanh_pair(order: int) -> tuple[Series, Series]:
-    """(sech^2, tanh) from one tanh jet."""
-    t = tanh_series(order)
-    return 1 - t * t, t
-
-
-def _tanh2_pair(order: int) -> tuple[Series, Series]:
-    """(sech^2(2x), tanh(2x)/2) from one tanh jet."""
-    t = tanh_series(order).scale_argument(2)
-    return 1 - t * t, t / 2
-
-
 def _geom_x2(c: int, order: int) -> Series:
     """1/(1 - c x^2)."""
     return _ogf(lambda k: 0 if k % 2 else c ** (k // 2), order)
-
-
-def _gompertz_f(order: int) -> Series:
-    u = 1 - expx_series(order, scale=-1)
-    return exp_series(u) - 1
 
 
 def _gompertz_g(order: int) -> Series:
@@ -239,8 +223,7 @@ _register(
         f_label="tanh(x)",
         notes="rescaled logistic; both production routes tridiagonal",
         is_sigmoid=True,
-        g_series=lambda n: _tanh_pair(n)[0],
-        f_series=tanh_series,
+        g_series=lambda n: 1 - tanh_series(n) ** 2,
         f_eval=math.tanh,
         fprime_eval=lambda t: 1.0 / math.cosh(t) ** 2,
         inverse_g=lambda n: _geom_x2(1, n),
@@ -248,7 +231,6 @@ _register(
         a_closed=lambda n: _poly([1, 0, -1], n),
         z_closed=lambda n: _poly([0, -2], n),
         jacobi=JacobiParams(0, -2, 0, -1),
-        pair_series=_tanh_pair,
     )
 )
 
@@ -259,8 +241,7 @@ _register(
         f_label="tanh(2x)/2",
         notes="argument-doubled variant of tanh; entries scale by 2^(n-k)",
         is_sigmoid=True,
-        g_series=lambda n: _tanh2_pair(n)[0],
-        f_series=lambda n: _tanh2_pair(n)[1],
+        g_series=lambda n: 1 - tanh_series(n).scale_argument(2) ** 2,
         f_eval=lambda t: 0.5 * math.tanh(2.0 * t),
         fprime_eval=lambda t: 1.0 / math.cosh(2.0 * t) ** 2,
         inverse_g=lambda n: _geom_x2(4, n),
@@ -268,7 +249,6 @@ _register(
         a_closed=lambda n: _poly([1, 0, -4], n),
         z_closed=lambda n: _poly([0, -8], n),
         jacobi=JacobiParams(0, -8, 0, -4),
-        pair_series=_tanh2_pair,
     )
 )
 
@@ -280,7 +260,6 @@ _register(
         notes="inverse-tangent sigmoid; the array is itself a coefficient array",
         is_sigmoid=True,
         g_series=lambda n: _geom_x2(-1, n),
-        f_series=arctan_series,
         f_eval=math.atan,
         fprime_eval=lambda t: 1.0 / (1.0 + t * t),
         inverse_g=lambda n: sec_series(n) ** 2,
@@ -301,7 +280,6 @@ _register(
         notes="algebraic sigmoid; production is not tridiagonal on either side",
         is_sigmoid=True,
         g_series=lambda n: pow_rational(_poly([1, 0, 1], n), Fraction(-3, 2)),
-        f_series=lambda n: pow_rational(_poly([1, 0, 1], n), Fraction(-1, 2)).times_x(),
         f_eval=lambda t: t / math.sqrt(1.0 + t * t),
         fprime_eval=lambda t: (1.0 + t * t) ** -1.5,
         inverse_g=lambda n: pow_rational(_poly([1, 0, -1], n), Fraction(-3, 2)),
@@ -321,7 +299,6 @@ _register(
         notes="quartic member of the algebraic-sigmoid family",
         is_sigmoid=True,
         g_series=lambda n: pow_rational(_poly([1, 0, 0, 0, 1], n), Fraction(-5, 4)),
-        f_series=lambda n: pow_rational(_poly([1, 0, 0, 0, 1], n), Fraction(-1, 4)).times_x(),
         f_eval=lambda t: t / (1.0 + t**4) ** 0.25,
         fprime_eval=lambda t: (1.0 + t**4) ** -1.25,
         inverse_g=lambda n: pow_rational(_poly([1, 0, 0, 0, -1], n), Fraction(-5, 4)),
@@ -349,7 +326,6 @@ _register(
         notes="Gudermannian; factors through the secant-moment array",
         is_sigmoid=True,
         g_series=sech_series,
-        f_series=gd_series,
         f_eval=lambda t: math.atan(math.sinh(t)),
         fprime_eval=lambda t: 1.0 / math.cosh(t),
         inverse_g=sec_series,
@@ -369,7 +345,6 @@ _register(
         notes="error-function sigmoid; no closed form for the inverse pair",
         is_sigmoid=True,
         g_series=gauss_series,
-        f_series=erf_integral_series,
         f_eval=lambda t: 0.5 * math.sqrt(math.pi) * math.erf(t),
         fprime_eval=lambda t: math.exp(-t * t),
     )
@@ -383,7 +358,6 @@ _register(
         notes="Gompertz growth curve; not odd, tied to Stirling set numbers",
         is_sigmoid=True,
         g_series=_gompertz_g,
-        f_series=_gompertz_f,
         f_eval=lambda t: math.exp(1.0 - math.exp(-t)) - 1.0,
         fprime_eval=lambda t: math.exp(1.0 - t - math.exp(-t)),
         inverse_g=_gompertz_inverse_g,
@@ -401,7 +375,6 @@ _register(
         notes="circular pair; parametric plot is the unit circle",
         is_sigmoid=False,
         g_series=cos_series,
-        f_series=sin_series,
         f_eval=math.sin,
         fprime_eval=math.cos,
         inverse_g=lambda n: pow_rational(_poly([1, 0, -1], n), Fraction(-1, 2)),
@@ -447,10 +420,13 @@ def entry(entry_id: str) -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def pair(entry_id: str, order: int) -> tuple[Series, Series]:
+    """(g, f) at jet order ``order``, with f = int_0^x g unless the entry
+    states f."""
     e = entry(entry_id)
-    if e.pair_series is not None:
-        return e.pair_series(order)
-    return e.g_series(order), e.f_series(order)
+    g = e.g_series(order)
+    if e.f_series is not None:
+        return g, e.f_series(order)
+    return g, g.integrate().truncate(order)
 
 
 @lru_cache(maxsize=None)

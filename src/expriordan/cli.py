@@ -16,11 +16,12 @@ from . import catalog, orthopoly, production
 from .riordan import (
     TriMatrix,
     build,
+    format_polynomial,
     inverse,
     matrix_to_json,
     row_polynomials,
 )
-from .series import Series, format_rational, from_egf, series
+from .series import Series, from_egf, series
 
 DEFAULT_ORDER = 16
 # Largest --order, --n and --depth accepted: the largest size the tests and
@@ -104,14 +105,14 @@ def _emit_matrix(m: TriMatrix, name: str, fmt: str, extra: dict | None = None) -
         return json.dumps(obj)
     header = ",".join(f"c{j}" for j in range(m.dim))
     lines = [header]
-    lines += [",".join(format_rational(v) for v in row) for row in m.rows]
+    lines += [",".join(map(str, row)) for row in m.rows]
     if extra:
         lines += [f"# {k}: {v}" for k, v in extra.items()]
     return "\n".join(lines)
 
 
 def _emit_sequence(values, fmt: str) -> str:
-    strs = [format_rational(v) for v in values]
+    strs = [str(v) for v in values]
     if fmt == "text":
         return ", ".join(strs)
     if fmt == "json":
@@ -142,21 +143,13 @@ def _cmd_produce(args) -> str:
     name, arr = _resolve_array(args, args.order + 1)
     p = production.production_definitional(arr)
     params = production.tridiagonal_params(p)
-    if args.format == "json":
-        extra = {"jacobi": params.to_json() if params else None}
+    if params is None:
+        jacobi = None if args.format == "json" else "not tridiagonal"
     else:
-        if params:
-            extra = {
-                "jacobi": "alpha={}, beta={}, gamma={}, delta={}".format(
-                    *(
-                        format_rational(v)
-                        for v in (params.alpha, params.beta, params.gamma, params.delta)
-                    )
-                )
-            }
-        else:
-            extra = {"jacobi": "not tridiagonal"}
-    return _emit_matrix(p, f"production({name})", args.format, extra)
+        jacobi = {k: str(getattr(params, k)) for k in ("alpha", "beta", "gamma", "delta")}
+        if args.format != "json":
+            jacobi = ", ".join(f"{k}={v}" for k, v in jacobi.items())
+    return _emit_matrix(p, f"production({name})", args.format, {"jacobi": jacobi})
 
 
 def _entry_sequence(args, length: int) -> tuple[Fraction, ...]:
@@ -183,41 +176,29 @@ def _cmd_moments(args) -> str:
 
 def _cmd_poly(args) -> str:
     name, arr = _resolve_array(args, args.order)
-    fam = row_polynomials(arr)
+    polys = row_polynomials(arr)
     count = args.n + 1
-    if count > len(fam):
-        raise CliError(f"array only provides {len(fam)} polynomials")
+    if count > len(polys):
+        raise CliError(f"array only provides {len(polys)} polynomials")
+    polys = polys[:count]
     if args.format == "json":
-        obj = {
-            "name": name,
-            "polys": [[format_rational(c) for c in fam[i]] for i in range(count)],
-        }
-        return json.dumps(obj)
+        return json.dumps({"name": name, "polys": [list(map(str, p)) for p in polys]})
     if args.format == "csv":
         lines = ["n,coefficients"]
-        for i in range(count):
-            coeffs = " ".join(format_rational(c) for c in fam[i])
-            lines.append(f"{i},{coeffs}")
+        lines += [f"{i},{' '.join(map(str, p))}" for i, p in enumerate(polys)]
         return "\n".join(lines)
-    return "\n".join(fam.format(i) for i in range(count))
+    return "\n".join(map(format_polynomial, polys))
 
 
 def _cmd_cf(args) -> str:
     seq = _entry_sequence(args, 2 * args.depth)
     rec = orthopoly.jfraction(seq, args.depth)
+    b, lam = [str(v) for v in rec.b], [str(v) for v in rec.lam]
     if args.format == "json":
-        return json.dumps(rec.to_json())
-    b = ", ".join(format_rational(v) for v in rec.b)
-    lam = ", ".join(format_rational(v) for v in rec.lam)
+        return json.dumps({"b": b, "lambda": lam})
     if args.format == "csv":
-        return "\n".join(
-            ["k,b,lambda"]
-            + [
-                f"{k},{format_rational(rec.b[k])},{format_rational(rec.lam[k])}"
-                for k in range(len(rec.b))
-            ]
-        )
-    return f"b: {b}\nlambda: {lam}"
+        return "\n".join(["k,b,lambda"] + [f"{k},{u},{v}" for k, (u, v) in enumerate(zip(b, lam))])
+    return f"b: {', '.join(b)}\nlambda: {', '.join(lam)}"
 
 
 def _cmd_plotdata(args) -> str:

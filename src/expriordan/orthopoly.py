@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .riordan import TriMatrix, from_rows
-from .series import Series, format_rational, series
+from .series import Series, series
 
 __all__ = [
     "Recurrence",
@@ -49,16 +49,14 @@ class Recurrence:
             values = (v if type(v) is Fraction else Fraction(v) for v in getattr(self, name))
             object.__setattr__(self, name, tuple(values))
 
-    def to_json(self) -> dict:
-        return {
-            "b": [format_rational(v) for v in self.b],
-            "lambda": [format_rational(v) for v in self.lam],
-        }
-
 
 def recurrence_from_jacobi(params, n: int) -> Recurrence:
-    """Recurrence data for P_0..P_n from tridiagonal production parameters."""
-    return Recurrence(b=params.b_list(n), lam=params.lam_list(n))
+    """Recurrence data for P_0..P_n from tridiagonal production parameters:
+    b_0..b_(n-1) and lambda_1..lambda_(n-1)."""
+    return Recurrence(
+        b=tuple(params.diagonal(k) for k in range(n)),
+        lam=tuple(params.subdiagonal(k) for k in range(1, n)),
+    )
 
 
 def _monic_numerators(b: tuple, lam: tuple, n: int) -> tuple[list[list[int]], int]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .riordan import ExpRiordan, TriMatrix, _realize, build, shift_apply, solve_lower
-from .series import Series, format_rational, x
+from .series import Series, x
 
 __all__ = [
     "ZAPair",
@@ -68,21 +68,6 @@ class JacobiParams:
     def subdiagonal(self, k: int) -> Fraction:
         return k * self.beta + k * (k - 1) * self.delta
 
-    def b_list(self, n: int) -> tuple[Fraction, ...]:
-        """b_0 .. b_{n-1}."""
-        return tuple(self.diagonal(k) for k in range(n))
-
-    def lam_list(self, n: int) -> tuple[Fraction, ...]:
-        """lambda_1 .. lambda_{n-1}."""
-        return tuple(self.subdiagonal(k) for k in range(1, n))
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": format_rational(self.alpha),
-            "beta": format_rational(self.beta),
-            "gamma": format_rational(self.gamma),
-            "delta": format_rational(self.delta),
-        }
 
 
 def production_definitional(arr: ExpRiordan) -> TriMatrix:

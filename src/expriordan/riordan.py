@@ -13,12 +13,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .series import Series, _compose, _powers, format_rational, one, x
+from .series import Series, _compose, _powers, one, x
 
 __all__ = [
     "TriMatrix",
     "ExpRiordan",
-    "PolynomialFamily",
     "identity_matrix",
     "from_rows",
     "mat_mul",
@@ -87,14 +86,11 @@ class TriMatrix:
     def is_lower_triangular(self) -> bool:
         return all(self.rows[i][i + 1] == 0 for i in range(self.dim - 1))
 
-    def is_unit_diagonal(self) -> bool:
-        return all(self.rows[i][i] == 1 for i in range(self.dim))
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
 
     def render_text(self) -> str:
-        cells = [[format_rational(v) for v in row] for row in self.rows]
+        cells = [[str(v) for v in row] for row in self.rows]
         widths = [max(len(cells[i][j]) for i in range(self.dim)) for j in range(self.dim)]
         return "\n".join(
             "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
@@ -272,27 +268,10 @@ def is_checkerboard(a: ExpRiordan) -> bool:
     return a.g.is_even() and a.f.is_odd()
 
 
-@dataclass(frozen=True)
-class PolynomialFamily:
-    """Coefficient rows of the polynomials p_n(x) = sum_k c[n][k] x^k."""
-
-    polys: tuple[tuple[Fraction, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __getitem__(self, n: int) -> tuple[Fraction, ...]:
-        return self.polys[n]
-
-    def format(self, n: int) -> str:
-        return format_polynomial(self.polys[n])
-
-
-def row_polynomials(a: ExpRiordan) -> PolynomialFamily:
-    """The polynomials obtained by applying the array to (1, x, x^2, ...)^T."""
-    return PolynomialFamily(
-        tuple(tuple(a.matrix.rows[n][: n + 1]) for n in range(a.matrix.dim))
-    )
+def row_polynomials(a: ExpRiordan) -> tuple[tuple[Fraction, ...], ...]:
+    """The polynomials obtained by applying the array to (1, x, x^2, ...)^T:
+    row n holds the ascending coefficients of p_n(x) = sum_k c[n][k] x^k."""
+    return tuple(tuple(a.matrix.rows[n][: n + 1]) for n in range(a.matrix.dim))
 
 
 def format_polynomial(coeffs: Sequence[Fraction]) -> str:
@@ -306,7 +285,7 @@ def format_polynomial(coeffs: Sequence[Fraction]) -> str:
     for c, k in reversed(terms):
         mag = abs(c)
         if k == 0:
-            body = format_rational(mag)
+            body = str(mag)
         else:
             xs = "x" if k == 1 else f"x^{k}"
             if mag == 1:
@@ -314,7 +293,7 @@ def format_polynomial(coeffs: Sequence[Fraction]) -> str:
             elif mag.denominator == 1:
                 body = f"{mag}{xs}"
             else:
-                body = f"({format_rational(mag)}){xs}"
+                body = f"({mag}){xs}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -332,7 +311,7 @@ def matrix_to_json(m: TriMatrix, name: str = "matrix") -> dict:
     return {
         "name": name,
         "order": m.dim - 1,
-        "rows": [[format_rational(v) for v in row] for row in m.rows],
+        "rows": [[str(v) for v in row] for row in m.rows],
     }
 
 

@@ -27,9 +27,8 @@ The exponential-coefficient view of the same jet is ``n! * c_n``; the two
 views convert exactly in both directions (:func:`from_egf`,
 :meth:`Series.egf`).
 
->>> s = geometric(4)            # 1/(1-x)
->>> s.coeffs
-(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
+>>> 1 / (1 - x(4))              # 1/(1-x)
+Series((1, 1, 1, 1, 1))
 >>> (1 + x(4)) * (1 - x(4))
 Series((1, 0, -1, 0, 0))
 >>> exp_series(x(5)).egf()
@@ -43,32 +42,18 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "Series",
     "series",
     "from_egf",
     "x",
     "one",
-    "geometric",
     "exp_series",
     "log_series",
     "pow_rational",
-    "format_rational",
-    "parse_rational",
 ]
-
-
-def format_rational(q: Fraction) -> str:
-    """Render ``p/q``, or just ``p`` when the denominator is 1."""
-    return str(q)
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +294,7 @@ class Series:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        body = ", ".join(format_rational(c) for c in self.coeffs)
+        body = ", ".join(map(str, self.coeffs))
         return f"Series(({body}))"
 
     # -- order management ---------------------------------------------------
@@ -365,12 +350,20 @@ class Series:
     def __pow__(self, k: int) -> "Series":
         if not isinstance(k, int) or k < 0:
             raise ValueError("integer power must be a non-negative int; see pow_rational")
-        out = one(self.order)
+        if k == 0:
+            return one(self.order)
+        # Square up to the lowest set bit, then once per higher bit: s ** 2
+        # is one product.
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
         return out
 
@@ -423,11 +416,6 @@ class Series:
     def is_odd(self) -> bool:
         return all(c == 0 for c in self.coeffs[0::2])
 
-    def format_coeffs(self, view: str = "ogf") -> str:
-        """Render the coefficient list in the requested view ('ogf' or 'egf')."""
-        data = self.coeffs if view == "ogf" else self.egf()
-        return ", ".join(format_rational(c) for c in data)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -462,11 +450,6 @@ def x(order: int) -> Series:
 
 def one(order: int) -> Series:
     return series([1], order=order)
-
-
-def geometric(order: int) -> Series:
-    """1/(1-x) = 1 + x + x^2 + ..."""
-    return Series((Fraction(1),) * (order + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from expriordan import catalog
 from expriordan.orthopoly import Recurrence
 from expriordan.production import ZAPair
 from expriordan.riordan import ExpRiordan, TriMatrix, build
-from expriordan.series import Series, one, series
+from expriordan.series import Series, exp_series, one, pow_rational, series, x
 
 
 def lagrange_revert(f: Series) -> Series:
@@ -319,6 +319,23 @@ def za_by_definition(g: Series, f: Series) -> ZAPair:
     a = naive_compose(f.derive(), fbar)
     z = naive_compose(g.derive(), fbar) / naive_compose(g.truncate(n - 1), fbar)
     return ZAPair(z=z, a=a)
+
+
+# -- the f of each catalog pair, as a closed form --------------------------
+
+# None of these takes f as the integral of g, which is how the catalog builds it.
+STATED_F = {
+    "tanh": catalog.tanh_series,
+    "tanh2": lambda n: catalog.tanh_series(n).scale_argument(2) / 2,
+    "arctan": catalog.arctan_series,
+    "algebraic": lambda n: pow_rational(series([1, 0, 1][: n + 1], n), "-1/2").times_x(),
+    "quartic": lambda n: pow_rational(series([1, 0, 0, 0, 1][: n + 1], n), "-1/4").times_x(),
+    "gudermann": catalog.gd_series,  # arctan(sinh(x))
+    "erf": catalog.erf_integral_series,
+    "gompertz": lambda n: exp_series(1 - catalog.expx_series(n, scale=-1)) - 1,
+    "cos_sin": catalog.sin_series,
+    "pascal": x,
+}
 
 
 def random_riordan_pair(rng: random.Random, order: int) -> ExpRiordan:

@@ -309,7 +309,7 @@ def test_criterion_4_polynomial_families():
         "x^6 + 30x^4 + 180x^2 + 120",
     ]
     rows = row_polynomials(build_entry("algebraic", 6))
-    ok = ok and [rows.format(i) for i in range(7)] == [
+    ok = ok and [format_polynomial(row) for row in rows] == [
         "1",
         "x",
         "x^2 - 3",

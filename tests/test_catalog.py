@@ -1,8 +1,9 @@
+import importlib
 import math
 from fractions import Fraction as F
 
 import pytest
-from helpers import div_by_long_division, naive_mul
+from helpers import STATED_F, div_by_long_division, naive_mul
 
 from expriordan import catalog
 from expriordan.catalog import (
@@ -297,10 +298,12 @@ def test_pair_is_cached():
     assert pair("tanh", 10) is pair("tanh", 10)
 
 
-def test_pair_matches_the_entry_builders():
-    for eid in ids():
-        e = entry(eid)
-        assert pair.__wrapped__(eid, 10) == (e.g_series(10), e.f_series(10))
+@pytest.mark.parametrize("eid", ids())
+def test_pair_f_is_the_stated_closed_form(eid):
+    # pair() takes f = int g; the oracle states f in closed form.
+    e = entry(eid)
+    for order in (0, 1, 2, 7, 24, 48):
+        assert pair.__wrapped__(eid, order) == (e.g_series(order), STATED_F[eid](order))
 
 
 @pytest.mark.parametrize("eid", ["tanh", "tanh2"])
@@ -315,6 +318,21 @@ def test_tanh_pairs_expand_tanh_once(eid, monkeypatch):
     monkeypatch.setattr(catalog, "tanh_series", counted)
     pair.__wrapped__(eid, 12)
     assert orders == [12]
+
+
+def test_gudermann_pair_makes_no_composition(monkeypatch):
+    mod = importlib.import_module("expriordan.series")
+    calls, compose = [], mod._compose
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(mod, "_compose", counted)
+    catalog.gd_series(24)
+    assert len(calls) == 1  # the counter sees arctan(sinh(x))
+    pair.__wrapped__("gudermann", 24)
+    assert len(calls) == 1
 
 
 def test_catalog_quotients_at_order_128():

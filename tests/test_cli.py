@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from helpers import hankel_formula
@@ -327,3 +331,98 @@ def test_deterministic_output(capsys):
     first = run(capsys, "produce", "gudermann", "--order", "8", "--format", "json")
     second = run(capsys, "produce", "gudermann", "--order", "8", "--format", "json")
     assert first == second
+
+
+# sha256 of stdout for every README command and the three larger commands of
+# the benchmark's cli workload, under every --format each accepts: a change to
+# any printed byte fails here.
+GOLDEN_STDOUT = {
+    "list": "eb74555d3ca508cea72d5afdf2829f1fe33e39d012488ed3db8b0f2d1d9141d7",
+    "array gompertz --order 6 --format text":
+        "aeba42b42d799aa623d9e645fedf7b11e3b1a325ed890ca941a8549862c20e8d",
+    "array gompertz --order 6 --format json":
+        "bb6368b4ee1dfba7c7dd9a683caa9776ed5da27f525d8f562d4b7ce48c35027e",
+    "array gompertz --order 6 --format csv":
+        "010638ae78c97993e532161718518f05dd44b344898ac27cd3c2de53324119bc",
+    "array --g 1 --f 0,1 --order 3 --format text":
+        "402bef1e8114fd895cd8261fd73fc9e565609f02d90d053de7c52c82535d4d2a",
+    "array --g 1 --f 0,1 --order 3 --format json":
+        "ae77e386e7f60c317868f91cbe715bd32520a313fa613a97449402b310b9b202",
+    "array --g 1 --f 0,1 --order 3 --format csv":
+        "db4bed23dc5ac8aa9d1b5ff5bebaefcb78b5a4cb8838aea907397fd933ebfa65",
+    "produce tanh --order 6 --format text":
+        "9b09d7cbaf897c404474df55f418051deb8338ec8dfa49ee6c6e597ac3ea8873",
+    "produce tanh --order 6 --format json":
+        "f315a7ae1eb62f136ac4a87bda87ad3e0cba2364034dad043329a075d215bb57",
+    "produce tanh --order 6 --format csv":
+        "eef7d129aff76c3da5edc90fd3c00265aa43ea492f1ead82e1fc215100804253",
+    "produce algebraic --order 6 --format text":
+        "c2cc1745471f6c2b11433f03794fec3dfd2807cf8f16a7a029aec4a267d168e7",
+    "produce algebraic --order 6 --format json":
+        "00bf1f208e4cd6b27d70b516abac08a11821b7cbedaaa142e126651e6ea31e7f",
+    "produce algebraic --order 6 --format csv":
+        "d63529f2b8b3c2ea891981436c895d26bf6da729ecd87f4e66607c8c82214729",
+    "hankel tanh --n 5 --format text":
+        "3f9494ccff69f5be873ede990e0c039574b90bcaf183fc9bea8c6e5278885f68",
+    "hankel tanh --n 5 --format json":
+        "a8783a688adde30b8458c7382f473d0f051d2f3f356bd450b26a7c57db0d67ff",
+    "hankel tanh --n 5 --format csv":
+        "b2a7bfe1b841bc299c9c9cad44ba85ab7f35ea4ba8fc97875723e51482028033",
+    "moments arctan --inverse --n 8 --format text":
+        "16a60f26bd290a3a7040d749c004b478a880f82a8120eed8f7aa5c15b4259702",
+    "moments arctan --inverse --n 8 --format json":
+        "596769a876665de264a392f8f62ef0717f92f5ea84ae35c748f8e7e651268b09",
+    "moments arctan --inverse --n 8 --format csv":
+        "7560e1ee264e8f6543652126919265b4767113ecf5146057762db1315520da75",
+    "poly algebraic --n 6 --format text":
+        "81b57047fffb391fdcdd10a650f1bdeb57233102439fde86901fe171bb7a509f",
+    "poly algebraic --n 6 --format json":
+        "717589fd1b49dc182d7f4c2b9702a017b8a22406d2082b4656d3766aa934ba5d",
+    "poly algebraic --n 6 --format csv":
+        "17109e30924e63e1712a5e78e60572b66f70d545879a6e02eba71da6cdbbf172",
+    "cf gompertz --depth 4 --format text":
+        "1d6296a61a128b1671104cda2e230461a7de6bec950301be721170f6fea14c36",
+    "cf gompertz --depth 4 --format json":
+        "905022551421a6f4a139627a0e3c51dbd2acf4e72e6b4272a4cfb5567a1996ab",
+    "cf gompertz --depth 4 --format csv":
+        "ba8db5d0a541149fc94df4643dbc911ceb77f2b467088b49aa9cbae9a5f941c8",
+    "plotdata tanh --kind parametric":
+        "37e5c4470c7a4d01842d3ee131908bf2dab84b846c26d58eaa1d4f040c7e7285",
+    "produce gompertz --order 24 --format text":
+        "74c8093d13ddbaa6a1e8bedb95998cf4ea26146d4a042c454a8f2b78be0740fb",
+    "produce gompertz --order 24 --format json":
+        "f92ecd8b658cd1f6fb4a7c0b743143e9af9e3e173fb7fa1ea203a734f6feedbf",
+    "produce gompertz --order 24 --format csv":
+        "7dd62d4355f4fc106fb9d8ea027ab274d31bf87a16c788513889efae95f7471e",
+    "hankel tanh --n 24 --format text":
+        "1b0d65bf9d51c20a1103e6d8b73e160480554d422d1521be0e3f5ce8cf58eef4",
+    "hankel tanh --n 24 --format json":
+        "bee49580c9cc0cb7b000610587fc27a39f17b7eae4fc72d0808eb6505afdb7e5",
+    "hankel tanh --n 24 --format csv":
+        "5f4a19ff502270b4e86c78cc6ba0cd4772d975c6714943e6ec2d973777cef004",
+    "array algebraic --inverse --order 24 --format text":
+        "854819bd2caca92b6f3239dff4af355bf742dd57cc64c5fdb06a40dc81855b13",
+    "array algebraic --inverse --order 24 --format json":
+        "177510699d26b3ed3bdba88fbc0fc22254449b22f1e6da121f0320e9da080dc6",
+    "array algebraic --inverse --order 24 --format csv":
+        "3c9f9bbcf081271b72975db6e5d30ea566f774a687d5337799b73d918ffb9ed5",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_golden_reproduce_tables():
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_tables.py")],
+        env=env, capture_output=True, check=True,
+    ).stdout
+    digest = "422de6d8b8521f7347cfb1feb7b7b7c17fcea93366ebfbbf82de777891336fff"
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -96,7 +96,7 @@ def test_coefficient_array_requires_enough_data():
 
 def test_coefficient_array_unit_diagonal():
     arr = coefficient_array(recurrence_from_jacobi(TANH_PARAMS, 8), 8)
-    assert arr.is_unit_diagonal()
+    assert all(arr.entry(i, i) == 1 for i in range(arr.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from math import factorial, lcm
 
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import jets, mixed_jets, mixed_rationals, sigmoid_like, small_rationals, units
 from helpers import (
@@ -21,12 +21,9 @@ from helpers import (
 from expriordan.series import (
     Series,
     exp_series,
-    format_rational,
     from_egf,
-    geometric,
     log_series,
     one,
-    parse_rational,
     pow_rational,
     series,
     x,
@@ -50,19 +47,11 @@ from expriordan.catalog import (
 # ---------------------------------------------------------------------------
 
 
-def test_rational_rendering():
-    assert format_rational(F(3, 4)) == "3/4"
-    assert format_rational(F(5)) == "5"
-    assert format_rational(F(-7, 2)) == "-7/2"
-    assert parse_rational(" -7/2 ") == F(-7, 2)
-
-
 def test_series_views():
     s = from_egf([1, 1, 1, 1], order=3)
     assert s.coeffs == (F(1), F(1), F(1, 2), F(1, 6))
     assert s.egf() == (F(1), F(1), F(1), F(1))
-    assert s.format_coeffs("ogf") == "1, 1, 1/2, 1/6"
-    assert s.format_coeffs("egf") == "1, 1, 1, 1"
+    assert repr(s) == "Series((1, 1, 1/2, 1/6))"
 
 
 def test_equality_at_common_order():
@@ -106,12 +95,24 @@ def test_difference_of_squares():
 
 def test_geometric_division():
     n = 6
-    assert 1 / (1 - x(n)) == geometric(n)
+    assert 1 / (1 - x(n)) == series([1] * (n + 1))
 
 
 def test_division_by_zero_constant_raises():
     with pytest.raises(ZeroDivisionError):
         one(3) / x(3)
+
+
+@given(st.integers(0, 6).flatmap(mixed_jets))
+@example(Series((F(-2, 3),)))
+@settings(max_examples=40, deadline=None)
+def test_integer_power_is_repeated_product(s):
+    want = one(s.order)
+    for k in range(8):
+        assert s ** k == want
+        want = naive_mul(want, s)
+    with pytest.raises(ValueError, match="non-negative int"):
+        s ** -1
 
 
 def test_sech_squared_by_euler_convolution():

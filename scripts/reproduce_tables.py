@@ -6,16 +6,11 @@ Usage: python scripts/reproduce_tables.py [--order N]
 
 import argparse
 
-from expriordan.catalog import (
-    build_entry,
-    build_inverse_entry,
-    ids,
-    pair,
-    stirling2,
-)
+from expriordan.catalog import build_entry, expx_series, ids, inverse_pair, pair
 from expriordan.orthopoly import hankel_transform, jfraction
 from expriordan.production import production_definitional, tridiagonal_params
-from expriordan.riordan import format_polynomial, inverse, row_polynomials
+from expriordan.riordan import build, format_polynomial, inverse, row_polynomials
+from expriordan.series import one
 
 
 def show(title: str, body: str) -> None:
@@ -44,7 +39,8 @@ def main() -> int:
         )
         show(f"production [{eid}] ({tag}), leading 7x7", p.leading(7).render_text())
 
-    show("Stirling set-number triangle", stirling2(6).render_text())
+    stirling = build(one(6), expx_series(6) - 1).matrix
+    show("Stirling set-number triangle", stirling.render_text())
 
     inv_prod = production_definitional(inverse(build_entry("cos_sin", n)))
     show("production of [cos, sin]^{-1}, leading 7x7", inv_prod.leading(7).render_text())
@@ -56,7 +52,7 @@ def main() -> int:
     show("Hankel transform of the sech^2 expansion", str(hankel_transform(g.egf(), 6)))
     show("Hankel transform of the tanh expansion", str(hankel_transform(f.egf(), 7)))
 
-    sec2 = build_inverse_entry("arctan", 13).g
+    sec2 = inverse_pair("arctan", 13)[0]
     show("moments with EGF sec^2", ", ".join(str(v) for v in sec2.egf()))
 
     rec = jfraction(pair("gompertz", 20)[0].egf(), 9)

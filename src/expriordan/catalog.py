@@ -1,12 +1,13 @@
-"""Named sigmoid pairs and auxiliary arrays, with exact series generators.
+"""The catalog: named sigmoid pairs and their stated forms, over exact series.
 
 The sigmoid entries are elements [f', f] of the derivative subgroup, which g
 alone fixes: each entry states g, and :func:`pair` takes f = int_0^x g.  The
 one entry outside the subgroup, ``pascal`` = [e^x, x], states f as well.
-Each entry also carries the float evaluators used for plot sampling, the
-stated inverse pair where one has a closed form, and the tridiagonal
-production data where the entry (or its inverse) carries a family of
-formally orthogonal polynomials.
+Each entry also states the float evaluators used for plot sampling, the
+inverse pair where it has a closed form, the (Z, A) series of its
+production matrix where they have one, and the tridiagonal production data
+where the entry (or its inverse) carries a family of formally orthogonal
+polynomials.
 
 Transcendental constants are normalized away so every series stays over
 the rationals: the error-function entry uses int_0^x exp(-t^2) dt, which
@@ -24,8 +25,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Optional
 
-from .production import JacobiParams, ZAPair, production_definitional, tridiagonal_params
-from .riordan import ExpRiordan, TriMatrix, build, from_rows, multiply
+from .production import JacobiParams, ZAPair
+from .riordan import ExpRiordan, build
 from .series import Series, exp_series, from_egf, log_series, one, pow_rational, series, x
 
 __all__ = [
@@ -36,13 +37,7 @@ __all__ = [
     "pair",
     "inverse_pair",
     "build_entry",
-    "build_inverse_entry",
     "za_closed_form",
-    "inverse_za_closed_form",
-    "stirling2",
-    "gompertz_identities",
-    "gudermann_identities",
-    "erf_identity",
     "sample_curve",
     "sample_parametric",
     "sin_series",
@@ -54,12 +49,9 @@ __all__ = [
     "sec_series",
     "tanh_series",
     "sech_series",
-    "arctan_series",
     "artanh_series",
     "arcsin_series",
-    "gd_series",
     "gauss_series",
-    "erf_integral_series",
     "log1p_series",
 ]
 
@@ -111,10 +103,6 @@ def _ogf(term: Callable[[int], Fraction | int], order: int) -> Series:
     return Series(tuple(term(k) for k in range(order + 1)))
 
 
-def arctan_series(order: int) -> Series:
-    return _ogf(lambda k: Fraction((-1) ** (k // 2), k) if k % 2 else 0, order)
-
-
 def artanh_series(order: int) -> Series:
     return _ogf(lambda k: Fraction(1, k) if k % 2 else 0, order)
 
@@ -125,21 +113,9 @@ def arcsin_series(order: int) -> Series:
     )
 
 
-def gd_series(order: int) -> Series:
-    """Gudermannian gd(x) = arctan(sinh(x))."""
-    return arctan_series(order).compose(sinh_series(order))
-
-
 def gauss_series(order: int) -> Series:
     """exp(-x^2)."""
     return _ogf(lambda k: 0 if k % 2 else Fraction((-1) ** (k // 2), factorial(k // 2)), order)
-
-
-def erf_integral_series(order: int) -> Series:
-    """int_0^x exp(-t^2) dt = (sqrt(pi)/2) erf(x)."""
-    return _ogf(
-        lambda k: Fraction((-1) ** (k // 2), factorial(k // 2) * k) if k % 2 else 0, order
-    )
 
 
 def log1p_series(order: int) -> Series:
@@ -173,8 +149,6 @@ class CatalogEntry:
     inverse_f: Optional[PairBuilder] = None
     a_closed: Optional[PairBuilder] = None
     z_closed: Optional[PairBuilder] = None
-    inverse_a_closed: Optional[PairBuilder] = None
-    inverse_z_closed: Optional[PairBuilder] = None
     jacobi: Optional[JacobiParams] = None
     inverse_jacobi: Optional[JacobiParams] = None
 
@@ -200,6 +174,15 @@ def _gompertz_inverse_f(order: int) -> Series:
 
 def _gompertz_a(order: int) -> Series:
     return _poly([1, 1], order) * (1 - log1p_series(order))
+
+
+def _algebraic_f(t: float) -> float:
+    """x/sqrt(1 + x^2).  t*t overflows to inf past |t| = 1.3e154, which
+    would give 0; from |t| = 1e150 on, f is sign(t) to within 1/(2t^2), far
+    below half an ulp of 1."""
+    if abs(t) < 1e150:
+        return t / math.sqrt(1.0 + t * t)
+    return math.copysign(1.0, t)
 
 
 def _sec_integral(order: int) -> Series:
@@ -266,8 +249,6 @@ _register(
         inverse_f=tan_series,
         a_closed=lambda n: cos_series(n) ** 2,
         z_closed=lambda n: -sin_series(n).scale_argument(2),
-        inverse_a_closed=lambda n: _poly([1, 0, 1], n),
-        inverse_z_closed=lambda n: _poly([0, 2], n),
         inverse_jacobi=JacobiParams(0, 2, 0, 1),
     )
 )
@@ -280,14 +261,12 @@ _register(
         notes="algebraic sigmoid; production is not tridiagonal on either side",
         is_sigmoid=True,
         g_series=lambda n: pow_rational(_poly([1, 0, 1], n), Fraction(-3, 2)),
-        f_eval=lambda t: t / math.sqrt(1.0 + t * t),
+        f_eval=_algebraic_f,
         fprime_eval=lambda t: (1.0 + t * t) ** -1.5,
         inverse_g=lambda n: pow_rational(_poly([1, 0, -1], n), Fraction(-3, 2)),
         inverse_f=lambda n: pow_rational(_poly([1, 0, -1], n), Fraction(-1, 2)).times_x(),
         a_closed=lambda n: pow_rational(_poly([1, 0, -1], n), Fraction(3, 2)),
         z_closed=lambda n: -3 * pow_rational(_poly([1, 0, -1], n), Fraction(1, 2)).times_x(),
-        inverse_a_closed=lambda n: pow_rational(_poly([1, 0, 1], n), Fraction(3, 2)),
-        inverse_z_closed=lambda n: 3 * pow_rational(_poly([1, 0, 1], n), Fraction(1, 2)).times_x(),
     )
 )
 
@@ -309,12 +288,6 @@ _register(
         .times_x()
         .times_x()
         .times_x(),
-        inverse_a_closed=lambda n: pow_rational(_poly([1, 0, 0, 0, 1], n), Fraction(5, 4)),
-        inverse_z_closed=lambda n: 5
-        * pow_rational(_poly([1, 0, 0, 0, 1], n), Fraction(1, 4))
-        .times_x()
-        .times_x()
-        .times_x(),
     )
 )
 
@@ -332,8 +305,6 @@ _register(
         inverse_f=_sec_integral,
         a_closed=cos_series,
         z_closed=lambda n: -sin_series(n),
-        inverse_a_closed=cosh_series,
-        inverse_z_closed=sinh_series,
     )
 )
 
@@ -381,8 +352,6 @@ _register(
         inverse_f=arcsin_series,
         a_closed=lambda n: pow_rational(_poly([1, 0, -1], n), Fraction(1, 2)),
         z_closed=lambda n: -pow_rational(_poly([1, 0, -1], n), Fraction(-1, 2)).times_x(),
-        inverse_a_closed=sec_series,
-        inverse_z_closed=lambda n: sec_series(n) * tan_series(n),
     )
 )
 
@@ -443,111 +412,12 @@ def build_entry(entry_id: str, order: int) -> ExpRiordan:
     return build(g, f)
 
 
-@lru_cache(maxsize=None)
-def build_inverse_entry(entry_id: str, order: int) -> ExpRiordan:
-    g, f = inverse_pair(entry_id, order)
-    return build(g, f)
-
-
 def za_closed_form(entry_id: str, order: int) -> Optional[ZAPair]:
     """The stated (Z, A) series of the entry's production matrix, or None."""
     e = entry(entry_id)
     if e.a_closed is None or e.z_closed is None:
         return None
     return ZAPair(z=e.z_closed(order), a=e.a_closed(order))
-
-
-def inverse_za_closed_form(entry_id: str, order: int) -> Optional[ZAPair]:
-    e = entry(entry_id)
-    if e.inverse_a_closed is None or e.inverse_z_closed is None:
-        return None
-    return ZAPair(z=e.inverse_z_closed(order), a=e.inverse_a_closed(order))
-
-
-# ---------------------------------------------------------------------------
-# Stirling set numbers and the identities tying them to the Gompertz array
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def stirling2(n: int) -> TriMatrix:
-    """Triangle of Stirling set numbers S2(n, k), built from the recurrence
-    S2(n, k) = S2(n-1, k-1) + k*S2(n-1, k)."""
-    rows: list[list[Fraction]] = [[Fraction(1)]]
-    for m in range(1, n + 1):
-        prev = rows[-1]
-        row = [Fraction(0)] * (m + 1)
-        for k in range(m + 1):
-            v = Fraction(0)
-            if 1 <= k <= m:
-                v += prev[k - 1]
-            if k <= m - 1:
-                v += k * prev[k]
-            row[k] = v
-        rows.append(row)
-    return from_rows(rows)
-
-
-def _s2(tri: TriMatrix, n: int, k: int) -> Fraction:
-    return tri.entry(n, k) if 0 <= k <= n else Fraction(0)
-
-
-def gompertz_identities(n: int) -> bool:
-    """Check, entry-wise and exactly up to row n:
-
-    * the factorization through the moment array and the set-number triangle,
-    * the factorization into the two signed set-number arrays,
-    * the double-sum expression of each entry in Stirling set numbers,
-    * the alternating-sum expression of the first column.
-    """
-    gom = build_entry("gompertz", n)
-    u = 1 - expx_series(n, scale=-1)  # 1 - e^{-x}
-    moment_arr = build(_gompertz_g(n), u)
-    stirling_arr = build(one(n), expx_series(n) - 1)
-    if multiply(moment_arr, stirling_arr) != gom:
-        return False
-    left = build(expx_series(n, scale=-1), u)
-    right = build(expx_series(n), expx_series(n) - 1)
-    if multiply(left, right) != gom:
-        return False
-    tri = stirling2(n + 1)
-    for i in range(n + 1):
-        for k in range(i + 1):
-            total = sum(
-                _s2(tri, i + 1, j + 1) * (-1) ** (i - j) * _s2(tri, j + 1, k + 1)
-                for j in range(i + 1)
-            )
-            if total != gom.matrix.entry(i, k):
-                return False
-        col = sum(_s2(tri, i + 1, j + 1) * (-1) ** (i - j) for j in range(i + 1))
-        if col != gom.matrix.entry(i, 0):
-            return False
-    return True
-
-
-def gudermann_identities(order: int) -> bool:
-    """[sech, gd] = [sech, tanh] . [1, arcsin], and [sech, tanh] is the
-    moment array of the family with b_k = 0, lambda_k = -k^2."""
-    gud = build_entry("gudermann", order)
-    moment_arr = build(sech_series(order), tanh_series(order))
-    if multiply(moment_arr, build(one(order), arcsin_series(order))) != gud:
-        return False
-    params = tridiagonal_params(production_definitional(moment_arr))
-    if params != JacobiParams(0, -1, 0, -1):
-        return False
-    return all(params.subdiagonal(k) == -k * k for k in range(order))
-
-
-def erf_identity(order: int) -> bool:
-    """[exp(-x^2), F] = [exp(-x^2), x] . [1, F] for F = int_0^x exp(-t^2) dt,
-    and [exp(-x^2), x] is the moment array of the family with
-    b_k = 0, lambda_k = -2k."""
-    erf_arr = build_entry("erf", order)
-    hermite_like = build(gauss_series(order), x(order))
-    if multiply(hermite_like, build(one(order), erf_integral_series(order))) != erf_arr:
-        return False
-    params = tridiagonal_params(production_definitional(hermite_like))
-    return params == JacobiParams(0, -2, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ DEFAULT_ORDER = 16
 # 2-core x86_64), mostly interpreter start-up and import; tanh's order-128 jet
 # takes 14 ms of it, and that jet at order 256 takes 84 ms.
 MAX_SIZE = 64
+# Largest --samples accepted by `plotdata`.  Each sample is one output row of
+# about 55 bytes, so the output stays near 5 MB.
+MAX_SAMPLES = 100_000
 
 
 class CliError(Exception):
@@ -153,14 +156,17 @@ def _cmd_produce(args) -> str:
 
 
 def _entry_sequence(args, length: int) -> tuple[Fraction, ...]:
-    """EGF coefficient sequence of the chosen part of a catalog entry."""
-    order = max(args.order, length)
-    g, f = catalog.inverse_pair(args.id, order) if args.inverse else catalog.pair(args.id, order)
+    """The first ``length`` + 1 EGF coefficients of the chosen part of a
+    catalog entry, from its order-``length`` jet."""
+    get = catalog.inverse_pair if args.inverse else catalog.pair
+    g, f = get(args.id, length)
     return (f if args.of == "f" else g).egf()
 
 
 def _cmd_hankel(args) -> str:
     if args.seq:
+        if args.id or args.inverse:
+            raise CliError("--seq takes no catalog id and no --inverse")
         seq = _parse_coeffs(args.seq)
     elif args.id:
         seq = _entry_sequence(args, 2 * args.n)
@@ -202,6 +208,8 @@ def _cmd_cf(args) -> str:
 
 
 def _cmd_plotdata(args) -> str:
+    if args.samples > MAX_SAMPLES:
+        raise CliError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     e = catalog.entry(args.id)
     grid = catalog.SampleGrid(t_min=args.tmin, t_max=args.tmax, samples=args.samples)
     if args.kind == "curve":
@@ -220,8 +228,7 @@ def _cmd_plotdata(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="jet order (default 16)")
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
@@ -233,6 +240,7 @@ def _add_array_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f", help="ordinary coefficients of f, comma-separated")
     p.add_argument("--egf", action="store_true", help="read --g/--f as EGF coefficients")
     p.add_argument("--inverse", action="store_true", help="use the group inverse")
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="jet order (default 16)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("array", help="print the array of a pair")
     _add_array_source(p)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_array)
 
     p = sub.add_parser("produce", help="print the production matrix")
     _add_array_source(p)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_produce)
 
     p = sub.add_parser("hankel", help="Hankel transform of an EGF expansion")
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5, help="largest determinant index")
     p.add_argument("--of", choices=("f", "g"), default="f", help="expand f or g")
     p.add_argument("--inverse", action="store_true", help="use the inverse pair")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_hankel)
 
     p = sub.add_parser("moments", help="EGF coefficients of g (first array column)")
@@ -269,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10, help="largest index")
     p.add_argument("--of", choices=("f", "g"), default="g", help="expand f or g")
     p.add_argument("--inverse", action="store_true", help="use the inverse pair")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("poly", help="row polynomials of the array")
     _add_array_source(p)
     p.add_argument("--n", type=int, default=6, help="largest polynomial degree")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("cf", help="J-fraction of the g-expansion moment sequence")
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=4, help="number of levels")
     p.add_argument("--of", choices=("f", "g"), default="g", help="expand f or g")
     p.add_argument("--inverse", action="store_true", help="use the inverse pair")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_cf)
 
     p = sub.add_parser("plotdata", help="CSV samples of (t, f, f') or (f', f)")

@@ -29,7 +29,6 @@ __all__ = [
     "Recurrence",
     "coefficient_array",
     "moments",
-    "hankel",
     "hankel_transform",
     "jfraction",
     "cf_to_ogf",
@@ -140,13 +139,6 @@ def _hfraction(seq: Sequence[Fraction], n: int) -> list[tuple[int, list[int], in
         for i, t in enumerate(quot):
             a = [v + t * w for v, w in zip(a, r[k + 2 - i :])]
         q, den = r, den * quot[0]
-
-
-def hankel(seq: Sequence[Fraction], n: int) -> Fraction:
-    """det(m_{i+j})_{0<=i,j<=n}: the last entry of :func:`hankel_transform`."""
-    if len(seq) < 2 * n + 1:
-        raise ValueError(f"need {2 * n + 1} terms for the order-{n} determinant")
-    return hankel_transform(seq, n)[n]
 
 
 def hankel_transform(seq: Sequence[Fraction], n_max: int) -> list[Fraction]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .series import Series, _compose, _powers, one, x
+from .series import Series, _compose, _powers
 
 __all__ = [
     "TriMatrix",
@@ -25,7 +25,6 @@ __all__ = [
     "solve_lower",
     "shift_apply",
     "build",
-    "identity_array",
     "multiply",
     "inverse",
     "row_polynomials",
@@ -235,10 +234,6 @@ def _realize(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[list[
         for i, v in enumerate(r, k):
             rows[i][k] = Fraction(facts[i] // facts[k] * v, d)
     return rows
-
-
-def identity_array(order: int) -> ExpRiordan:
-    return build(one(order), x(order))
 
 
 def multiply(a: ExpRiordan, b: ExpRiordan) -> ExpRiordan:

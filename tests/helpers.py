@@ -12,19 +12,23 @@ the Jacobi-matrix recurrence; Hankel determinants by Gaussian elimination
 over Fractions; J-fraction coefficients by determinant ratios and by peeling
 one level per series division; J-fraction expansions by one series division
 per level; triangular solves and matrix powers by schoolbook products; and
-so on.
+so on.  The catalog's f and the inverse side's (Z, A) are stated in closed
+forms other than the ones the catalog computes.  The identity suites at the
+end are not oracles: they check factorizations of catalog arrays through the
+library's own group law and production routes.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from expriordan import catalog
 from expriordan.orthopoly import Recurrence
-from expriordan.production import ZAPair
-from expriordan.riordan import ExpRiordan, TriMatrix, build
+from expriordan.production import JacobiParams, ZAPair, production_definitional, tridiagonal_params
+from expriordan.riordan import ExpRiordan, TriMatrix, build, from_rows, multiply
 from expriordan.series import Series, exp_series, one, pow_rational, series, x
 
 
@@ -321,21 +325,77 @@ def za_by_definition(g: Series, f: Series) -> ZAPair:
     return ZAPair(z=z, a=a)
 
 
-# -- the f of each catalog pair, as a closed form --------------------------
+# -- the f of each catalog pair, and the inverse side's (Z, A) --------------
+
+
+def arctan_series(order: int) -> Series:
+    return Series(tuple(Fraction((-1) ** (k // 2), k) if k % 2 else 0 for k in range(order + 1)))
+
+
+def gd_series(order: int) -> Series:
+    """Gudermannian gd(x) = arctan(sinh(x))."""
+    return arctan_series(order).compose(catalog.sinh_series(order))
+
+
+def erf_integral_series(order: int) -> Series:
+    """int_0^x exp(-t^2) dt = (sqrt(pi)/2) erf(x)."""
+    return Series(
+        tuple(
+            Fraction((-1) ** (k // 2), factorial(k // 2) * k) if k % 2 else 0
+            for k in range(order + 1)
+        )
+    )
+
+
+def _poly(coeffs: list[int], order: int) -> Series:
+    return series(coeffs[: order + 1], order=order)
+
 
 # None of these takes f as the integral of g, which is how the catalog builds it.
 STATED_F = {
     "tanh": catalog.tanh_series,
     "tanh2": lambda n: catalog.tanh_series(n).scale_argument(2) / 2,
-    "arctan": catalog.arctan_series,
-    "algebraic": lambda n: pow_rational(series([1, 0, 1][: n + 1], n), "-1/2").times_x(),
-    "quartic": lambda n: pow_rational(series([1, 0, 0, 0, 1][: n + 1], n), "-1/4").times_x(),
-    "gudermann": catalog.gd_series,  # arctan(sinh(x))
-    "erf": catalog.erf_integral_series,
+    "arctan": arctan_series,
+    "algebraic": lambda n: pow_rational(_poly([1, 0, 1], n), "-1/2").times_x(),
+    "quartic": lambda n: pow_rational(_poly([1, 0, 0, 0, 1], n), "-1/4").times_x(),
+    "gudermann": gd_series,  # arctan(sinh(x))
+    "erf": erf_integral_series,
     "gompertz": lambda n: exp_series(1 - catalog.expx_series(n, scale=-1)) - 1,
     "cos_sin": catalog.sin_series,
     "pascal": x,
 }
+
+# (Z, A) of the production matrix of each inverse array that has them in
+# closed form, as (z, a) builders.
+STATED_INVERSE_ZA = {
+    "arctan": (lambda n: _poly([0, 2], n), lambda n: _poly([1, 0, 1], n)),
+    "algebraic": (
+        lambda n: 3 * pow_rational(_poly([1, 0, 1], n), Fraction(1, 2)).times_x(),
+        lambda n: pow_rational(_poly([1, 0, 1], n), Fraction(3, 2)),
+    ),
+    "quartic": (
+        lambda n: 5
+        * pow_rational(_poly([1, 0, 0, 0, 1], n), Fraction(1, 4))
+        .times_x()
+        .times_x()
+        .times_x(),
+        lambda n: pow_rational(_poly([1, 0, 0, 0, 1], n), Fraction(5, 4)),
+    ),
+    "gudermann": (catalog.sinh_series, catalog.cosh_series),
+    "cos_sin": (
+        lambda n: catalog.sec_series(n) * catalog.tan_series(n),
+        catalog.sec_series,
+    ),
+}
+
+
+def inverse_za_closed_form(entry_id: str, order: int) -> ZAPair | None:
+    """The stated (Z, A) series of the inverse array's production matrix, or
+    None."""
+    if entry_id not in STATED_INVERSE_ZA:
+        return None
+    z, a = STATED_INVERSE_ZA[entry_id]
+    return ZAPair(z=z(order), a=a(order))
 
 
 def random_riordan_pair(rng: random.Random, order: int) -> ExpRiordan:
@@ -392,3 +452,88 @@ def hankel_formula_check(kind: str, n_max: int) -> bool:
     """Compare the closed product formula with the exact determinants."""
     seq = _formula_sequence(kind, 2 * n_max)
     return all(hankel_formula(kind, n) == hankel_det(seq, n) for n in range(n_max + 1))
+
+
+# -- Stirling set numbers and the identity suites ----------------------------
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int) -> TriMatrix:
+    """Triangle of Stirling set numbers S2(n, k), built from the recurrence
+    S2(n, k) = S2(n-1, k-1) + k*S2(n-1, k)."""
+    rows: list[list[Fraction]] = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        prev = rows[-1]
+        row = [Fraction(0)] * (m + 1)
+        for k in range(m + 1):
+            v = Fraction(0)
+            if 1 <= k <= m:
+                v += prev[k - 1]
+            if k <= m - 1:
+                v += k * prev[k]
+            row[k] = v
+        rows.append(row)
+    return from_rows(rows)
+
+
+def _s2(tri: TriMatrix, n: int, k: int) -> Fraction:
+    return tri.entry(n, k) if 0 <= k <= n else Fraction(0)
+
+
+def gompertz_identities(n: int) -> bool:
+    """Check, entry-wise and exactly up to row n:
+
+    * the factorization through the moment array and the set-number triangle,
+    * the factorization into the two signed set-number arrays,
+    * the double-sum expression of each entry in Stirling set numbers,
+    * the alternating-sum expression of the first column.
+    """
+    gom = catalog.build_entry("gompertz", n)
+    e_x, e_minus_x = catalog.expx_series(n), catalog.expx_series(n, scale=-1)
+    u = 1 - e_minus_x  # 1 - e^{-x}
+    moment_arr = build(catalog.entry("gompertz").g_series(n), u)
+    stirling_arr = build(one(n), e_x - 1)
+    if multiply(moment_arr, stirling_arr) != gom:
+        return False
+    left = build(e_minus_x, u)
+    right = build(e_x, e_x - 1)
+    if multiply(left, right) != gom:
+        return False
+    tri = stirling2(n + 1)
+    for i in range(n + 1):
+        for k in range(i + 1):
+            total = sum(
+                _s2(tri, i + 1, j + 1) * (-1) ** (i - j) * _s2(tri, j + 1, k + 1)
+                for j in range(i + 1)
+            )
+            if total != gom.matrix.entry(i, k):
+                return False
+        col = sum(_s2(tri, i + 1, j + 1) * (-1) ** (i - j) for j in range(i + 1))
+        if col != gom.matrix.entry(i, 0):
+            return False
+    return True
+
+
+def gudermann_identities(order: int) -> bool:
+    """[sech, gd] = [sech, tanh] . [1, arcsin], and [sech, tanh] is the
+    moment array of the family with b_k = 0, lambda_k = -k^2."""
+    gud = catalog.build_entry("gudermann", order)
+    moment_arr = build(catalog.sech_series(order), catalog.tanh_series(order))
+    if multiply(moment_arr, build(one(order), catalog.arcsin_series(order))) != gud:
+        return False
+    params = tridiagonal_params(production_definitional(moment_arr))
+    if params != JacobiParams(0, -1, 0, -1):
+        return False
+    return all(params.subdiagonal(k) == -k * k for k in range(order))
+
+
+def erf_identity(order: int) -> bool:
+    """[exp(-x^2), F] = [exp(-x^2), x] . [1, F] for F = int_0^x exp(-t^2) dt,
+    and [exp(-x^2), x] is the moment array of the family with
+    b_k = 0, lambda_k = -2k."""
+    erf_arr = catalog.build_entry("erf", order)
+    hermite_like = build(catalog.gauss_series(order), x(order))
+    if multiply(hermite_like, build(one(order), erf_integral_series(order))) != erf_arr:
+        return False
+    params = tridiagonal_params(production_definitional(hermite_like))
+    return params == JacobiParams(0, -2, 0, 0)

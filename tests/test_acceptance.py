@@ -9,20 +9,18 @@ import random
 import time
 from fractions import Fraction as F
 
-from helpers import random_riordan_pair
+from helpers import gompertz_identities, random_riordan_pair, stirling2
 
 from expriordan import catalog
 from expriordan.catalog import (
     build_entry,
-    build_inverse_entry,
     entry,
     expx_series,
-    gompertz_identities,
     ids,
+    inverse_pair,
     pair,
     sample_curve,
     sample_parametric,
-    stirling2,
     tanh_series,
 )
 from expriordan.orthopoly import (
@@ -41,15 +39,16 @@ from expriordan.production import (
     za_sequences,
 )
 from expriordan.riordan import (
+    build,
     format_polynomial,
     from_rows,
-    identity_array,
     inverse,
     mat_inverse,
     mat_mul,
     multiply,
     row_polynomials,
 )
+from expriordan.series import one, x
 
 
 def _report(label: str, ok: bool, elapsed: float) -> None:
@@ -186,7 +185,6 @@ def test_criterion_1_displayed_blocks():
     catalog.pair.cache_clear()
     catalog.build_entry.cache_clear()
     catalog.inverse_pair.cache_clear()
-    catalog.build_inverse_entry.cache_clear()
     start = time.perf_counter()
     order = 16
     checks = [
@@ -259,7 +257,7 @@ def test_criterion_3_hankel_transforms():
         0,
         15728001190723584000000,
     ]
-    sec2 = build_inverse_entry("arctan", order).g
+    sec2 = build(*inverse_pair("arctan", order)).g
     hs = hankel_transform(sec2.egf(), 6)
     for n in range(7):
         prod = F(1)
@@ -334,7 +332,7 @@ def test_criterion_5_secant_squared_moments():
     expected = (1, 0, 2, 0, 16, 0, 272, 0, 7936, 0, 353792, 0, 22368256)
     rec = recurrence_from_jacobi(JacobiParams(0, 2, 0, 1), 13)
     ok = moments(rec, 12) == expected
-    sec2 = build_inverse_entry("arctan", 13).g
+    sec2 = build(*inverse_pair("arctan", 13)).g
     ok = ok and sec2.egf()[:13] == expected
     elapsed = time.perf_counter() - start
     _report("criterion 5: thirteen moments of sec^2", ok, elapsed)
@@ -361,7 +359,7 @@ def test_criterion_7_group_law_suite():
     rng = random.Random(20260810)
     order = 8
     pairs = [random_riordan_pair(rng, order) for _ in range(200)]
-    ident = identity_array(order)
+    ident = build(one(order), x(order))
     ok = True
     for i, a in enumerate(pairs):
         inv = inverse(a)

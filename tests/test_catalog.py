@@ -3,20 +3,27 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from helpers import STATED_F, div_by_long_division, naive_mul
+from helpers import (
+    STATED_F,
+    arctan_series,
+    div_by_long_division,
+    erf_identity,
+    erf_integral_series,
+    gd_series,
+    gompertz_identities,
+    gudermann_identities,
+    naive_mul,
+    stirling2,
+)
 
 from expriordan import catalog
 from expriordan.catalog import (
     SampleGrid,
     build_entry,
-    build_inverse_entry,
     cos_series,
     cosh_series,
     entry,
-    erf_identity,
     expx_series,
-    gompertz_identities,
-    gudermann_identities,
     ids,
     inverse_pair,
     pair,
@@ -24,7 +31,6 @@ from expriordan.catalog import (
     sample_parametric,
     sin_series,
     sinh_series,
-    stirling2,
     tan_series,
     za_closed_form,
 )
@@ -96,7 +102,7 @@ def test_stated_inverse_pairs():
         if entry(eid).inverse_g is None:
             continue
         computed = inverse(build_entry(eid, 10))
-        stated = build_inverse_entry(eid, 10)
+        stated = build(*inverse_pair(eid, 10))
         assert computed == stated, eid
 
 
@@ -140,7 +146,7 @@ def test_jacobi_metadata_matches_computation():
             assert got == e.jacobi, eid
         if e.inverse_jacobi is not None:
             got = tridiagonal_params(
-                production_definitional(build_inverse_entry(eid, 10))
+                production_definitional(build(*inverse_pair(eid, 10)))
             )
             assert got == e.inverse_jacobi, eid
 
@@ -277,10 +283,10 @@ def test_ogf_generators_match_their_definitions(order):
     # Integrals are taken from order 24, so every order is a truncation.
     x2 = series([0, 0, 1], order=24)
     integrals = {
-        catalog.arctan_series: 1 / (1 + x2),
+        arctan_series: 1 / (1 + x2),
         catalog.artanh_series: 1 / (1 - x2),
         catalog.arcsin_series: pow_rational(1 - x2, F(-1, 2)),
-        catalog.erf_integral_series: exp_series(-x2),
+        erf_integral_series: exp_series(-x2),
     }
     for gen, derivative in integrals.items():
         assert gen(order).coeffs == derivative.integrate().coeffs[: order + 1]
@@ -329,7 +335,7 @@ def test_gudermann_pair_makes_no_composition(monkeypatch):
         return compose(*args)
 
     monkeypatch.setattr(mod, "_compose", counted)
-    catalog.gd_series(24)
+    gd_series(24)
     assert len(calls) == 1  # the counter sees arctan(sinh(x))
     pair.__wrapped__("gudermann", 24)
     assert len(calls) == 1

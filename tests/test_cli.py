@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from helpers import hankel_formula
 
-from expriordan.cli import main
+from expriordan import catalog
+from expriordan.cli import MAX_SAMPLES, main
 from expriordan.catalog import build_entry
 from expriordan.riordan import matrix_from_json
 
@@ -145,6 +146,26 @@ def test_moments_arctan_inverse(capsys):
     assert out.strip() == "1, 0, 2, 0, 16, 0, 272, 0, 7936"
 
 
+CLOSED_FORM_SIDES = [
+    pytest.param(eid, side, id=eid + "".join(side))
+    for eid in catalog.ids()
+    for side in ((), ("--inverse",))
+    if not side or catalog.entry(eid).inverse_g is not None
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 24])
+@pytest.mark.parametrize("eid, side", CLOSED_FORM_SIDES)
+def test_moments_read_the_prefix_of_the_order_64_jet(capsys, eid, side, n):
+    # `moments` reads the order-n jet; it must agree with a longer one.
+    get = catalog.inverse_pair if side else catalog.pair
+    g, f = get(eid, 64)
+    for part, s in (("g", g), ("f", f)):
+        code, out, err = run(capsys, "moments", eid, *side, "--n", str(n), "--of", part)
+        assert (code, err) == (0, "")
+        assert out == ", ".join(map(str, s.egf()[: n + 1])) + "\n"
+
+
 def test_poly_algebraic(capsys):
     code, out, _ = run(capsys, "poly", "algebraic", "--n", "6")
     assert code == 0
@@ -189,6 +210,21 @@ def test_plotdata_validation(capsys):
     code, _, err = run(capsys, "plotdata", "tanh", "--samples", "1")
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_plotdata_samples_bound(capsys):
+    code, out, err = run(capsys, "plotdata", "tanh", "--samples", str(MAX_SAMPLES + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: --samples must be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}\n"
+
+
+def test_plotdata_algebraic_far_out(capsys):
+    # t*t overflows to inf here; f = t/sqrt(1 + t^2) is still +-1 in floats.
+    code, out, err = run(
+        capsys, "plotdata", "algebraic", "--tmin=-1e200", "--tmax", "1e200", "--samples", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["t,f,fprime", "-1e+200,-1,0", "0,0,1", "1e+200,1,0"]
 
 
 def test_unknown_id_fails(capsys):
@@ -325,6 +361,37 @@ def test_id_and_spec_conflict(capsys):
     code, _, err = run(capsys, "array", "tanh", "--g", "1", "--f", "0,1")
     assert code == 1
     assert "not both" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hankel", "tanh", "--seq", "1,0,1,0,2", "--n", "2"),
+        ("hankel", "--seq", "1,0,1,0,2", "--inverse", "--n", "2"),
+    ],
+    ids=("id", "inverse"),
+)
+def test_hankel_seq_takes_no_entry(capsys, argv):
+    # Neither has a meaning beside --seq, so neither may be dropped silently.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: --seq takes no catalog id and no --inverse\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hankel", "tanh", "--n", "5", "--order", "64"),
+        ("moments", "gompertz", "--order", "16"),
+        ("cf", "gompertz", "--order", "16"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sequence_commands_take_no_order(capsys, argv):
+    # These read the jet order off the length they need.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: " + " ".join(argv[-2:]) + "\n"
 
 
 def test_deterministic_output(capsys):

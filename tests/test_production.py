@@ -5,16 +5,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import mixed_jets, mixed_rationals
-from helpers import power_first_row, production_analytic_by_entries, za_by_definition
-
-from expriordan.catalog import (
-    build_entry,
-    build_inverse_entry,
-    ids,
+from helpers import (
     inverse_za_closed_form,
-    pair,
-    za_closed_form,
+    power_first_row,
+    production_analytic_by_entries,
+    za_by_definition,
 )
+
+from expriordan.catalog import build_entry, ids, inverse_pair, pair, za_closed_form
 from expriordan.production import (
     JacobiParams,
     ZAPair,
@@ -24,7 +22,7 @@ from expriordan.production import (
     tridiagonal_params,
     za_sequences,
 )
-from expriordan.riordan import inverse
+from expriordan.riordan import build, inverse
 from expriordan.series import one, series
 
 DERIVATIVE_SUBGROUP_IDS = tuple(eid for eid in ids() if eid != "pascal")
@@ -76,7 +74,7 @@ def test_analytic_from_inverse_cos_sin():
     p = production_analytic(za, 8)
     assert p.rows[5][:7] == (61, 0, 75, 0, 15, 0, 1)
     assert p.rows[3][:5] == (5, 0, 6, 0, 1)
-    direct = production_definitional(build_inverse_entry("cos_sin", 9))
+    direct = production_definitional(build(*inverse_pair("cos_sin", 9)))
     assert direct.leading(8) == p.leading(8)
 
 
@@ -157,7 +155,7 @@ def test_stated_inverse_za_forms_match_computed():
 
 def test_tridiagonal_params_examples():
     assert tridiagonal_params(
-        production_definitional(build_inverse_entry("arctan", 10))
+        production_definitional(build(*inverse_pair("arctan", 10)))
     ) == JacobiParams(0, 2, 0, 1)
     assert tridiagonal_params(
         production_definitional(build_entry("tanh", 10))

@@ -12,6 +12,7 @@ from helpers import (
     egf_convolution,
     euler_numbers,
     exp_by_ogf_recurrence,
+    gd_series,
     lagrange_revert,
     log_by_integration,
     naive_compose,
@@ -33,7 +34,6 @@ from expriordan.catalog import (
     cos_series,
     cosh_series,
     expx_series,
-    gd_series,
     log1p_series,
     sech_series,
     sin_series,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_12.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_14.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
@@ -21,15 +21,19 @@ and of ``algebraic`` (uncached), and three series divisions (``div``, the
 entry column naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2),
 whose integer divisor keeps the OGF loop.  At orders 24, 48 and 128 it
 times the uncached catalog jets: ``pair`` of every entry and
-``inverse_pair`` of ``arctan``.
+``inverse_pair`` of ``arctan``.  Last, it times start-up (``startup``): fresh
+interpreters running ``python -c "import expriordan.cli"`` and ``python -m
+expriordan list`` against ``--src`` with ``PYTHONDONTWRITEBYTECODE=1``, so
+that each compiles the package from source as a clean checkout does.
 
 The inputs are built before the timed calls.  Each operation is called up to
 five times, stopping once two seconds of calls are spent; the least wall
 time, which a busy machine can only raise, is recorded with the number of
-calls and the largest numerator or denominator bit-length in the result.
-The numbers go under ``runs[NAME]`` of BENCH_12.json at the repository root
-and other labels are kept, so the numbers of two source trees (say, a parent
-commit's ``src`` and this one's) sit side by side.
+calls and the largest numerator or denominator bit-length in the result.  A
+start-up row is the least wall time of 20 processes; it has no order or
+bit-length.  The numbers go under ``runs[NAME]`` of BENCH_14.json at the
+repository root and other labels are kept, so the numbers of two source
+trees (say, a parent commit's ``src`` and this one's) sit side by side.
 """
 
 from __future__ import annotations
@@ -38,7 +42,10 @@ import argparse
 import json
 import os
 import platform
+import shutil
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,7 +57,12 @@ ORDERS = (16, 32, 64)
 PAIR_ORDERS = (24, 48, 128)
 REPEATS = 5
 BUDGET_S = 2.0
-OUT = ROOT / "BENCH_12.json"
+STARTUP_CALLS = 20
+STARTUP = {
+    "import expriordan.cli": ["-c", "import expriordan.cli"],
+    "python -m expriordan list": ["-m", "expriordan", "list"],
+}
+OUT = ROOT / "BENCH_14.json"
 
 
 def _fractions(obj) -> list:
@@ -154,14 +166,42 @@ def measure() -> list[dict]:
     return rows
 
 
+def startup(src: Path) -> list[dict]:
+    """Start-up rows, timed on a copy of ``src`` without __pycache__ so that
+    no child reads bytecode that an earlier import left behind."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "src"
+        shutil.copytree(src, clean, ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(clean), PYTHONDONTWRITEBYTECODE="1")
+        for entry, args in STARTUP.items():
+            times = []
+            for _ in range(STARTUP_CALLS):
+                start = time.perf_counter()
+                subprocess.run(
+                    [sys.executable, *args], env=env, cwd=tmp, stdout=subprocess.DEVNULL, check=True
+                )
+                times.append(time.perf_counter() - start)
+            row = {
+                "operation": "startup",
+                "entry": entry,
+                "min_s": round(min(times), 6),
+                "calls": len(times),
+            }
+            print(f"{'startup':24s} {entry:28s} {row['min_s']:.6f} s")
+            rows.append(row)
+    return rows
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding expriordan")
     ap.add_argument("--label", default="change", help="key of this run in the output")
     args = ap.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
 
-    results = measure()
+    results = measure() + startup(src)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.setdefault("script", "scripts/bench_layers.py")
     doc.setdefault("orders", list(ORDERS))

@@ -19,7 +19,6 @@ the true constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -27,7 +26,17 @@ from typing import Callable, Optional
 
 from .production import JacobiParams, ZAPair
 from .riordan import ExpRiordan, build
-from .series import Series, exp_series, from_egf, log_series, one, pow_rational, series, x
+from .series import (
+    Series,
+    _Frozen,
+    exp_series,
+    from_egf,
+    log_series,
+    one,
+    pow_rational,
+    series,
+    x,
+)
 
 __all__ = [
     "CatalogEntry",
@@ -133,24 +142,36 @@ def _poly(coeffs: list[int], order: int) -> Series:
 PairBuilder = Callable[[int], Series]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    g_label: str
-    f_label: str
-    notes: str
-    is_sigmoid: bool
-    g_series: PairBuilder
-    f_eval: Callable[[float], float]
-    fprime_eval: Callable[[float], float]
-    # Only for a pair outside the derivative subgroup; otherwise f = int g.
-    f_series: Optional[PairBuilder] = None
-    inverse_g: Optional[PairBuilder] = None
-    inverse_f: Optional[PairBuilder] = None
-    a_closed: Optional[PairBuilder] = None
-    z_closed: Optional[PairBuilder] = None
-    jacobi: Optional[JacobiParams] = None
-    inverse_jacobi: Optional[JacobiParams] = None
+class CatalogEntry(_Frozen):
+    __slots__ = (
+        "id", "g_label", "f_label", "notes", "is_sigmoid", "g_series", "f_eval",
+        "fprime_eval", "f_series", "inverse_g", "inverse_f", "a_closed", "z_closed",
+        "jacobi", "inverse_jacobi",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        g_label: str,
+        f_label: str,
+        notes: str,
+        is_sigmoid: bool,
+        g_series: PairBuilder,
+        f_eval: Callable[[float], float],
+        fprime_eval: Callable[[float], float],
+        # Only for a pair outside the derivative subgroup; otherwise f = int g.
+        f_series: Optional[PairBuilder] = None,
+        inverse_g: Optional[PairBuilder] = None,
+        inverse_f: Optional[PairBuilder] = None,
+        a_closed: Optional[PairBuilder] = None,
+        z_closed: Optional[PairBuilder] = None,
+        jacobi: Optional[JacobiParams] = None,
+        inverse_jacobi: Optional[JacobiParams] = None,
+    ) -> None:
+        self._set_fields(
+            id, g_label, f_label, notes, is_sigmoid, g_series, f_eval, fprime_eval,
+            f_series, inverse_g, inverse_f, a_closed, z_closed, jacobi, inverse_jacobi,
+        )
 
 
 def _geom_x2(c: int, order: int) -> Series:
@@ -185,6 +206,38 @@ def _algebraic_f(t: float) -> float:
     return math.copysign(1.0, t)
 
 
+def _sech_power(t: float, p: int) -> float:
+    """sech(t)^p.  cosh(t)^p overflows past |t| = 710/p; from |t| = 350 on,
+    sech(t) is 2 e^(-|t|) to within a relative e^(-700), far below half an
+    ulp, and the power underflows to 0 where sech^p does."""
+    if abs(t) < 350:
+        return 1.0 / math.cosh(t) ** p
+    return (2.0 * math.exp(-abs(t))) ** p
+
+
+def _gudermann_f(t: float) -> float:
+    """gd(t) = arctan(sinh(t)).  sinh overflows past |t| = 710; from |t| =
+    700 on, gd is sign(t) pi/2 to within 2 e^(-|t|)."""
+    if abs(t) < 700:
+        return math.atan(math.sinh(t))
+    return math.copysign(math.pi / 2, t)
+
+
+def _quartic_f(t: float) -> float:
+    """x/(1 + x^4)^(1/4).  t**4 overflows past |t| = 1.1e77; from |t| = 1e75
+    on, f is sign(t) to within 1/(4t^4)."""
+    if abs(t) < 1e75:
+        return t / (1.0 + t**4) ** 0.25
+    return math.copysign(1.0, t)
+
+
+def _quartic_fprime(t: float) -> float:
+    """(1 + x^4)^(-5/4), below 1e-375 from |t| = 1e75 on: 0 in floats."""
+    if abs(t) < 1e75:
+        return (1.0 + t**4) ** -1.25
+    return 0.0
+
+
 def _sec_integral(order: int) -> Series:
     """int_0^x sec(t) dt = log(sec(x) + tan(x))."""
     if order == 0:
@@ -208,7 +261,7 @@ _register(
         is_sigmoid=True,
         g_series=lambda n: 1 - tanh_series(n) ** 2,
         f_eval=math.tanh,
-        fprime_eval=lambda t: 1.0 / math.cosh(t) ** 2,
+        fprime_eval=lambda t: _sech_power(t, 2),
         inverse_g=lambda n: _geom_x2(1, n),
         inverse_f=artanh_series,
         a_closed=lambda n: _poly([1, 0, -1], n),
@@ -226,7 +279,7 @@ _register(
         is_sigmoid=True,
         g_series=lambda n: 1 - tanh_series(n).scale_argument(2) ** 2,
         f_eval=lambda t: 0.5 * math.tanh(2.0 * t),
-        fprime_eval=lambda t: 1.0 / math.cosh(2.0 * t) ** 2,
+        fprime_eval=lambda t: _sech_power(2.0 * t, 2),
         inverse_g=lambda n: _geom_x2(4, n),
         inverse_f=lambda n: artanh_series(n).scale_argument(2) / 2,
         a_closed=lambda n: _poly([1, 0, -4], n),
@@ -278,8 +331,8 @@ _register(
         notes="quartic member of the algebraic-sigmoid family",
         is_sigmoid=True,
         g_series=lambda n: pow_rational(_poly([1, 0, 0, 0, 1], n), Fraction(-5, 4)),
-        f_eval=lambda t: t / (1.0 + t**4) ** 0.25,
-        fprime_eval=lambda t: (1.0 + t**4) ** -1.25,
+        f_eval=_quartic_f,
+        fprime_eval=_quartic_fprime,
         inverse_g=lambda n: pow_rational(_poly([1, 0, 0, 0, -1], n), Fraction(-5, 4)),
         inverse_f=lambda n: pow_rational(_poly([1, 0, 0, 0, -1], n), Fraction(-1, 4)).times_x(),
         a_closed=lambda n: pow_rational(_poly([1, 0, 0, 0, -1], n), Fraction(5, 4)),
@@ -299,8 +352,8 @@ _register(
         notes="Gudermannian; factors through the secant-moment array",
         is_sigmoid=True,
         g_series=sech_series,
-        f_eval=lambda t: math.atan(math.sinh(t)),
-        fprime_eval=lambda t: 1.0 / math.cosh(t),
+        f_eval=_gudermann_f,
+        fprime_eval=lambda t: _sech_power(t, 1),
         inverse_g=sec_series,
         inverse_f=_sec_integral,
         a_closed=cos_series,
@@ -425,21 +478,19 @@ def za_closed_form(entry_id: str, order: int) -> Optional[ZAPair]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleGrid:
+class SampleGrid(_Frozen):
     """Uniform sampling grid; defaults mirror the usual plotting window."""
 
-    t_min: float = -4.0
-    t_max: float = 4.0
-    samples: int = 200
+    __slots__ = ("t_min", "t_max", "samples")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+    def __init__(self, t_min: float = -4.0, t_max: float = 4.0, samples: int = 200) -> None:
+        if not (math.isfinite(t_min) and math.isfinite(t_max)):
             raise ValueError("t_min and t_max must be finite")
-        if not self.t_min < self.t_max:
+        if not t_min < t_max:
             raise ValueError("t_min must be strictly below t_max")
-        if self.samples < 2:
+        if samples < 2:
             raise ValueError("need at least two samples")
+        self._set_fields(t_min, t_max, samples)
 
     def points(self) -> list[float]:
         step = (self.t_max - self.t_min) / (self.samples - 1)

@@ -8,11 +8,10 @@ Rationals print as integers when the denominator is 1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from . import catalog, orthopoly, production
+from . import catalog, production
 from .riordan import (
     TriMatrix,
     build,
@@ -25,9 +24,10 @@ from .series import Series, from_egf, series
 
 DEFAULT_ORDER = 16
 # Largest --order, --n and --depth accepted: the largest size the tests and
-# benchmarks use.  `hankel tanh --n 64` takes 0.17-0.21 s (Python 3.11, shared
-# 2-core x86_64), mostly interpreter start-up and import; tanh's order-128 jet
-# takes 14 ms of it, and that jet at order 256 takes 84 ms.
+# benchmarks use.  `hankel tanh --n 64` takes 0.12-0.17 s (best and median of
+# 15 processes with bytecode writing off; Python 3.11, shared 2-core x86_64),
+# mostly interpreter start-up and import; tanh's order-128 jet takes 14 ms of
+# it, and that jet at order 256 takes 84 ms.
 MAX_SIZE = 64
 # Largest --samples accepted by `plotdata`.  Each sample is one output row of
 # about 55 bytes, so the output stays near 5 MB.
@@ -95,6 +95,12 @@ def _resolve_array(args, order: int) -> tuple[str, "object"]:
 # ---------------------------------------------------------------------------
 
 
+def _json(obj) -> str:
+    import json  # only --format json loads it
+
+    return json.dumps(obj)
+
+
 def _emit_matrix(m: TriMatrix, name: str, fmt: str, extra: dict | None = None) -> str:
     if fmt == "text":
         out = m.render_text()
@@ -105,7 +111,7 @@ def _emit_matrix(m: TriMatrix, name: str, fmt: str, extra: dict | None = None) -
         obj = matrix_to_json(m, name)
         if extra:
             obj.update(extra)
-        return json.dumps(obj)
+        return _json(obj)
     header = ",".join(f"c{j}" for j in range(m.dim))
     lines = [header]
     lines += [",".join(map(str, row)) for row in m.rows]
@@ -119,7 +125,7 @@ def _emit_sequence(values, fmt: str) -> str:
     if fmt == "text":
         return ", ".join(strs)
     if fmt == "json":
-        return json.dumps(strs)
+        return _json(strs)
     return "\n".join(["n,value"] + [f"{n},{s}" for n, s in enumerate(strs)])
 
 
@@ -172,7 +178,9 @@ def _cmd_hankel(args) -> str:
         seq = _entry_sequence(args, 2 * args.n)
     else:
         raise CliError("need a catalog id or --seq")
-    return _emit_sequence(orthopoly.hankel_transform(seq, args.n), args.format)
+    from .orthopoly import hankel_transform  # only hankel and cf load orthopoly
+
+    return _emit_sequence(hankel_transform(seq, args.n), args.format)
 
 
 def _cmd_moments(args) -> str:
@@ -188,7 +196,7 @@ def _cmd_poly(args) -> str:
         raise CliError(f"array only provides {len(polys)} polynomials")
     polys = polys[:count]
     if args.format == "json":
-        return json.dumps({"name": name, "polys": [list(map(str, p)) for p in polys]})
+        return _json({"name": name, "polys": [list(map(str, p)) for p in polys]})
     if args.format == "csv":
         lines = ["n,coefficients"]
         lines += [f"{i},{' '.join(map(str, p))}" for i, p in enumerate(polys)]
@@ -197,11 +205,13 @@ def _cmd_poly(args) -> str:
 
 
 def _cmd_cf(args) -> str:
+    from .orthopoly import jfraction
+
     seq = _entry_sequence(args, 2 * args.depth)
-    rec = orthopoly.jfraction(seq, args.depth)
+    rec = jfraction(seq, args.depth)
     b, lam = [str(v) for v in rec.b], [str(v) for v in rec.lam]
     if args.format == "json":
-        return json.dumps({"b": b, "lambda": lam})
+        return _json({"b": b, "lambda": lam})
     if args.format == "csv":
         return "\n".join(["k,b,lambda"] + [f"{k},{u},{v}" for k, (u, v) in enumerate(zip(b, lam))])
     return f"b: {', '.join(b)}\nlambda: {', '.join(lam)}"

@@ -17,13 +17,12 @@ all have k_j = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 from .riordan import TriMatrix, from_rows
-from .series import Series, series
+from .series import Series, _Frozen, series
 
 __all__ = [
     "Recurrence",
@@ -36,17 +35,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(_Frozen):
     """Three-term recurrence data: b[k] is b_k, lam[k] is lambda_{k+1}."""
 
-    b: tuple[Fraction, ...]
-    lam: tuple[Fraction, ...]
+    __slots__ = ("b", "lam")
 
-    def __post_init__(self) -> None:
-        for name in ("b", "lam"):
-            values = (v if type(v) is Fraction else Fraction(v) for v in getattr(self, name))
-            object.__setattr__(self, name, tuple(values))
+    def __init__(self, b: Sequence[Fraction], lam: Sequence[Fraction]) -> None:
+        b, lam = (tuple(v if type(v) is Fraction else Fraction(v) for v in vs) for vs in (b, lam))
+        self._set_fields(b, lam)
 
 
 def recurrence_from_jacobi(params, n: int) -> Recurrence:

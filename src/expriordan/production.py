@@ -15,11 +15,10 @@ as :class:`JacobiParams`, the data of a monic three-term recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .riordan import ExpRiordan, TriMatrix, _realize, build, shift_apply, solve_lower
-from .series import Series, x
+from .series import Series, _Frozen, x
 
 __all__ = [
     "ZAPair",
@@ -32,20 +31,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZAPair:
+class ZAPair(_Frozen):
     """The A- and Z-sequences of an array, as ordinary-coefficient series."""
 
-    z: Series
-    a: Series
+    __slots__ = ("z", "a")
 
-    def __post_init__(self) -> None:
-        if self.a[0] != 1:
+    def __init__(self, z: Series, a: Series) -> None:
+        if a[0] != 1:
             raise ValueError("the A-sequence must start with 1")
+        self._set_fields(z, a)
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(_Frozen):
     """Tridiagonal production data (alpha, beta, gamma, delta).
 
     Diagonal entries are ``b_k = alpha + k*gamma`` and subdiagonal entries
@@ -53,14 +50,10 @@ class JacobiParams:
     recurrence P_n = (x - b_{n-1}) P_{n-1} - lambda_{n-1} P_{n-2}.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
+    __slots__ = ("alpha", "beta", "gamma", "delta")
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, delta: Fraction) -> None:
+        self._set_fields(Fraction(alpha), Fraction(beta), Fraction(gamma), Fraction(delta))
 
     def diagonal(self, k: int) -> Fraction:
         return self.alpha + k * self.gamma

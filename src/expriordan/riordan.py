@@ -8,12 +8,11 @@ the group law is computed on the series side and the matrix side checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .series import Series, _compose, _powers
+from .series import Series, _compose, _Frozen, _powers
 
 __all__ = [
     "TriMatrix",
@@ -36,20 +35,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class TriMatrix:
+class TriMatrix(_Frozen):
     """Dense square matrix of rationals, zero above the first superdiagonal.
 
     Covers both lower-triangular matrices (arrays, coefficient triangles)
     and lower-Hessenberg ones (production matrices).
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Sequence[Sequence[object]]) -> None:
         rows = tuple(
-            tuple(v if type(v) is Fraction else Fraction(v) for v in row)
-            for row in self.rows
+            tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
         )
         dim = len(rows)
         if dim == 0 or any(len(row) != dim for row in rows):
@@ -188,13 +185,15 @@ def shift_apply(a: TriMatrix) -> TriMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ExpRiordan:
+class ExpRiordan(_Frozen):
     """An exponential Riordan array: the pair (g, f) plus its matrix."""
 
-    g: Series
-    f: Series
-    matrix: TriMatrix
+    __slots__ = ("g", "f", "matrix")
+
+    def __init__(self, g: Series, f: Series, matrix: TriMatrix) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def order(self) -> int:

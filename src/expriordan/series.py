@@ -37,7 +37,6 @@ Series((1, 0, -1, 0, 0))
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -251,18 +250,55 @@ def _revert(f: Sequence[Fraction], n: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# the Series value type
+# the value classes: their frozen base, and Series
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Series:
+class _Frozen:
+    """Base of the package's immutable value classes.  A subclass names its
+    fields in ``__slots__``, in constructor order, and sets them once in
+    ``__init__``.  Equality, hashing, repr and pickling go by those fields
+    unless the subclass defines its own."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values: object) -> None:
+        # Hot constructors call object.__setattr__ directly instead.
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Series(_Frozen):
     """Immutable order-N jet with exact rational ordinary coefficients."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs: Iterable[Scalar]) -> None:
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(self, "coeffs", coeffs)

@@ -227,6 +227,39 @@ def test_plotdata_algebraic_far_out(capsys):
     assert out.splitlines() == ["t,f,fprime", "-1e+200,-1,0", "0,0,1", "1e+200,1,0"]
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (("tanh", "--tmin", "700", "--tmax", "1e100"), ["700,1,0", "1e+100,1,0"]),
+        (
+            ("tanh", "--tmin=-360", "--tmax=-355"),
+            ["-360,-1,8.12892320967344e-313", "-355,-1,1.79051449027005e-308"],
+        ),
+        (("tanh2", "--tmin", "400", "--tmax", "800"), ["400,0.5,0", "800,0.5,0"]),
+        (
+            ("gudermann", "--tmin", "700", "--tmax", "800"),
+            ["700,1.5707963267949,1.97193530875195e-304", "800,1.5707963267949,0"],
+        ),
+        (
+            ("gudermann", "--tmin=-800", "--tmax=-750"),
+            ["-800,-1.5707963267949,0", "-750,-1.5707963267949,0"],
+        ),
+        (("quartic", "--tmin", "1e77", "--tmax", "1e78"), ["1e+77,1,0", "1e+78,1,0"]),
+        (("quartic", "--tmin=-1e78", "--tmax=-1e77"), ["-1e+78,-1,0", "-1e+77,-1,0"]),
+    ],
+    ids=[
+        "tanh", "tanh_negative", "tanh2", "gudermann", "gudermann_negative", "quartic",
+        "quartic_negative",
+    ],
+)
+def test_plotdata_far_out(capsys, argv, rows):
+    # cosh(t)**2, sinh, cosh and t**4 overflow here; f is at its limit and
+    # f' is its exponentially small tail, 0 once that underflows.
+    code, out, err = run(capsys, "plotdata", *argv, "--samples", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["t,f,fprime", *rows]
+
+
 def test_unknown_id_fails(capsys):
     code, _, err = run(capsys, "array", "logistic")
     assert code == 1
@@ -481,6 +514,22 @@ def test_golden_stdout(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_startup_imports_only_what_every_command_needs():
+    # Each CLI process pays for every module it imports; dataclasses (with
+    # inspect), json and orthopoly are loaded only by the commands that use them.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import expriordan.cli, sys; "
+        "print([m for m in ('dataclasses', 'inspect', 'json', 'expriordan.orthopoly') "
+        "if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_golden_reproduce_tables():

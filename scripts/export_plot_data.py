@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
 """Export curve and parametric CSV samples for every catalog entry.
 
-Usage: python scripts/export_plot_data.py [--outdir DIR] [--samples K]
+Usage: python scripts/export_plot_data.py [--outdir DIR] [--tmin T] [--tmax T] [--samples K]
+
+Each file is the output of `expriordan plotdata <id> --kind <kind>` over the
+given window; a rejected window prints the CLI's diagnostic and exits 1.
 """
 
 import argparse
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
-from expriordan.catalog import SampleGrid, entry, ids, sample_curve, sample_parametric
+from expriordan import cli
+from expriordan.catalog import ids
 
 
 def main() -> int:
@@ -18,23 +24,20 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=200)
     args = ap.parse_args()
 
-    grid = SampleGrid(t_min=args.tmin, t_max=args.tmax, samples=args.samples)
+    window = [f"--tmin={args.tmin!r}", f"--tmax={args.tmax!r}", f"--samples={args.samples}"]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     for eid in ids():
-        e = entry(eid)
-        curve = outdir / f"{eid}_curve.csv"
-        with curve.open("w") as fh:
-            fh.write("t,f,fprime\n")
-            for row in sample_curve(e, grid):
-                fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
-        para = outdir / f"{eid}_parametric.csv"
-        with para.open("w") as fh:
-            fh.write("fprime,f\n")
-            for row in sample_parametric(e, grid):
-                fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
-        print(f"wrote {curve} and {para}")
+        for kind in ("curve", "parametric"):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                status = cli.main(["plotdata", eid, "--kind", kind, *window])
+            if status:
+                return status
+            path = outdir / f"{eid}_{kind}.csv"
+            path.write_text(out.getvalue())
+            print(f"wrote {path}")
     return 0
 
 

@@ -6,10 +6,10 @@ Usage: python scripts/reproduce_tables.py [--order N]
 
 import argparse
 
-from expriordan.catalog import build_entry, expx_series, ids, inverse_pair, pair
+from expriordan.catalog import expx_series, ids, inverse_pair, pair
 from expriordan.orthopoly import hankel_transform, jfraction
 from expriordan.production import production_definitional, tridiagonal_params
-from expriordan.riordan import build, format_polynomial, inverse, row_polynomials
+from expriordan.riordan import build, format_polynomial, row_polynomials
 from expriordan.series import one
 
 
@@ -26,7 +26,7 @@ def main() -> int:
     n = args.order
 
     for eid in ids():
-        arr = build_entry(eid, n)
+        arr = build(*pair(eid, n))
         show(f"array [{eid}], leading 7x7", arr.matrix.leading(7).render_text())
         p = production_definitional(arr)
         params = tridiagonal_params(p)
@@ -42,10 +42,10 @@ def main() -> int:
     stirling = build(one(6), expx_series(6) - 1).matrix
     show("Stirling set-number triangle", stirling.render_text())
 
-    inv_prod = production_definitional(inverse(build_entry("cos_sin", n)))
+    inv_prod = production_definitional(build(*inverse_pair("cos_sin", n)))
     show("production of [cos, sin]^{-1}, leading 7x7", inv_prod.leading(7).render_text())
 
-    polys = row_polynomials(build_entry("algebraic", 6))
+    polys = row_polynomials(build(*pair("algebraic", 6)))
     show("row polynomials of the algebraic sigmoid array", "\n".join(map(format_polynomial, polys)))
 
     g, f = pair("tanh", 32)

@@ -25,7 +25,7 @@ from math import comb, factorial
 from typing import Callable, Optional
 
 from .production import JacobiParams, ZAPair
-from .riordan import ExpRiordan, build
+from .riordan import _inverse_pair
 from .series import (
     Series,
     _Frozen,
@@ -45,7 +45,6 @@ __all__ = [
     "ids",
     "pair",
     "inverse_pair",
-    "build_entry",
     "za_closed_form",
     "sample_curve",
     "sample_parametric",
@@ -223,6 +222,20 @@ def _gudermann_f(t: float) -> float:
     return math.copysign(math.pi / 2, t)
 
 
+def _gompertz_f(t: float) -> float:
+    """exp(1 - e^(-t)) - 1.  e^(-t) overflows below t = -709.78; from t =
+    -700 down, exp(1 - e^(-t)) is below e^(-1e304): f is -1 and f' is 0."""
+    if t >= -700:
+        return math.exp(1.0 - math.exp(-t)) - 1.0
+    return -1.0
+
+
+def _gompertz_fprime(t: float) -> float:
+    if t >= -700:
+        return math.exp(1.0 - t - math.exp(-t))
+    return 0.0
+
+
 def _quartic_f(t: float) -> float:
     """x/(1 + x^4)^(1/4).  t**4 overflows past |t| = 1.1e77; from |t| = 1e75
     on, f is sign(t) to within 1/(4t^4)."""
@@ -382,8 +395,8 @@ _register(
         notes="Gompertz growth curve; not odd, tied to Stirling set numbers",
         is_sigmoid=True,
         g_series=_gompertz_g,
-        f_eval=lambda t: math.exp(1.0 - math.exp(-t)) - 1.0,
-        fprime_eval=lambda t: math.exp(1.0 - t - math.exp(-t)),
+        f_eval=_gompertz_f,
+        fprime_eval=_gompertz_fprime,
         inverse_g=_gompertz_inverse_g,
         inverse_f=_gompertz_inverse_f,
         a_closed=_gompertz_a,
@@ -453,16 +466,13 @@ def pair(entry_id: str, order: int) -> tuple[Series, Series]:
 
 @lru_cache(maxsize=None)
 def inverse_pair(entry_id: str, order: int) -> tuple[Series, Series]:
+    """(g, f) of the inverse array: the entry's stated closed forms, else the
+    group inverse of :func:`pair`, reverted at order 1 at least."""
     e = entry(entry_id)
-    if e.inverse_g is None or e.inverse_f is None:
-        raise ValueError(f"entry {entry_id!r} has no closed-form inverse pair")
-    return e.inverse_g(order), e.inverse_f(order)
-
-
-@lru_cache(maxsize=None)
-def build_entry(entry_id: str, order: int) -> ExpRiordan:
-    g, f = pair(entry_id, order)
-    return build(g, f)
+    if e.inverse_g is not None:
+        return e.inverse_g(order), e.inverse_f(order)
+    g, f = _inverse_pair(*pair(entry_id, max(order, 1)))
+    return g.truncate(order), f.truncate(order)
 
 
 def za_closed_form(entry_id: str, order: int) -> Optional[ZAPair]:
@@ -493,8 +503,9 @@ class SampleGrid(_Frozen):
         self._set_fields(t_min, t_max, samples)
 
     def points(self) -> list[float]:
+        # t_max itself comes last: t_min + i * step can round far off it.
         step = (self.t_max - self.t_min) / (self.samples - 1)
-        return [self.t_min + i * step for i in range(self.samples)]
+        return [self.t_min + i * step for i in range(self.samples - 1)] + [self.t_max]
 
 
 def sample_curve(e: CatalogEntry, grid: SampleGrid) -> list[tuple[float, float, float]]:

@@ -66,14 +66,18 @@ def _series_from_spec(text: str, order: int, egf: bool) -> Series:
     return maker(coeffs, order=order)
 
 
+def _entry_pair(args, order: int) -> tuple[Series, Series]:
+    """(g, f) at jet order ``order`` of the catalog entry, or with --inverse of its inverse."""
+    return (catalog.inverse_pair if args.inverse else catalog.pair)(args.id, order)
+
+
 def _resolve_array(args, order: int) -> tuple[str, "object"]:
     """Build the requested array, at jet order ``order``, from an id or an
     explicit (g, f) spec."""
     if args.id is not None:
         if args.g or args.f:
             raise CliError("give either a catalog id or --g/--f, not both")
-        arr = catalog.build_entry(args.id, order)
-        name = args.id
+        arr, name = build(*_entry_pair(args, order)), args.id
     else:
         if not (args.g and args.f):
             raise CliError("need a catalog id or both --g and --f")
@@ -83,11 +87,10 @@ def _resolve_array(args, order: int) -> tuple[str, "object"]:
             arr = build(g, f)
         except ValueError as exc:
             raise CliError(f"invalid (g, f) pair: {exc}") from None
+        if args.inverse:
+            arr = inverse(arr)
         name = "custom"
-    if args.inverse:
-        arr = inverse(arr)
-        name = f"{name}^-1"
-    return name, arr
+    return (f"{name}^-1" if args.inverse else name), arr
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +167,7 @@ def _cmd_produce(args) -> str:
 def _entry_sequence(args, length: int) -> tuple[Fraction, ...]:
     """The first ``length`` + 1 EGF coefficients of the chosen part of a
     catalog entry, from its order-``length`` jet."""
-    get = catalog.inverse_pair if args.inverse else catalog.pair
-    g, f = get(args.id, length)
+    g, f = _entry_pair(args, length)
     return (f if args.of == "f" else g).egf()
 
 
@@ -184,17 +186,15 @@ def _cmd_hankel(args) -> str:
 
 
 def _cmd_moments(args) -> str:
-    seq = _entry_sequence(args, args.n)
-    return _emit_sequence(seq[: args.n + 1], args.format)
+    return _emit_sequence(_entry_sequence(args, args.n), args.format)
 
 
 def _cmd_poly(args) -> str:
-    name, arr = _resolve_array(args, args.order)
-    polys = row_polynomials(arr)
-    count = args.n + 1
-    if count > len(polys):
-        raise CliError(f"array only provides {len(polys)} polynomials")
-    polys = polys[:count]
+    # p_0..p_n read the jets through x^n; a --g/--f spec is read whole, as by `array`.
+    specs = [s for s in (args.g, args.f) if s and args.id is None]
+    order = max([args.n, 1] + [min(len(_parse_coeffs(s)) - 1, MAX_SIZE) for s in specs])
+    name, arr = _resolve_array(args, order)
+    polys = row_polynomials(arr)[: args.n + 1]
     if args.format == "json":
         return _json({"name": name, "polys": [list(map(str, p)) for p in polys]})
     if args.format == "csv":
@@ -250,7 +250,6 @@ def _add_array_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f", help="ordinary coefficients of f, comma-separated")
     p.add_argument("--egf", action="store_true", help="read --g/--f as EGF coefficients")
     p.add_argument("--inverse", action="store_true", help="use the group inverse")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="jet order (default 16)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,15 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="list catalog entries")
     p.set_defaults(func=_cmd_list)
 
-    p = sub.add_parser("array", help="print the array of a pair")
-    _add_array_source(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_array)
-
-    p = sub.add_parser("produce", help="print the production matrix")
-    _add_array_source(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_produce)
+    for name, text, func in (
+        ("array", "print the array of a pair", _cmd_array),
+        ("produce", "print the production matrix", _cmd_produce),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_array_source(p)
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="jet order (default 16)")
+        _add_format(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("hankel", help="Hankel transform of an EGF expansion")
     p.add_argument("id", nargs="?", help="catalog id")

@@ -18,11 +18,10 @@ all have k_j = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 from .riordan import TriMatrix, from_rows
-from .series import Series, _Frozen, series
+from .series import Series, _content_removed, _Frozen, _scaled, series
 
 __all__ = [
     "Recurrence",
@@ -58,9 +57,8 @@ def _monic_numerators(b: tuple, lam: tuple, n: int) -> tuple[list[list[int]], in
     """Integer rows of Q_k(y) = d^k P_k(y/d), k = 0..n, and d.  With d the lcm
     of the denominators, Q_{k+1} = (y - d b_k) Q_k - d^2 lambda_k Q_{k-1}."""
     b, lam = b[:n], lam[: max(n - 1, 0)]
-    d = lcm(*(v.denominator for v in (*b, *lam)))
-    db = [v.numerator * (d // v.denominator) for v in b]
-    d2lam = [0] + [v.numerator * (d // v.denominator) * d for v in lam]  # lambda_0 = 0
+    nums, d = _scaled((*b, *lam), len(b) + len(lam) - 1)
+    db, d2lam = nums[: len(b)], [0] + [v * d for v in nums[len(b) :]]  # lambda_0 = 0
     rows = [[], [1]]  # Q_{-1} = 0, Q_0 = 1
     for bk, lk in zip(db, d2lam):
         q, q1 = rows[-1], rows[-2]
@@ -109,18 +107,14 @@ def _hfraction(seq: Sequence[Fraction], n: int) -> list[tuple[int, list[int], in
     if n < 0:
         raise ValueError(f"Hankel order {n} is negative")
     terms = [v if type(v) is Fraction else Fraction(v) for v in seq[: 2 * n + 1]]
-    den = lcm(*(v.denominator for v in terms))
-    a = [v.numerator * (den // v.denominator) for v in terms]  # x^k_j R_j, level j = 0
+    a, den = _scaled(terms, 2 * n)  # x^k_j R_j, level j = 0
     q = [1] + [0] * (2 * n)  # R_(j-1)
     levels, s = [], 0
     while True:
         k = next((i for i, v in enumerate(a) if v), len(a))
         if s + k > n:  # h_s..h_n all vanish
             return levels
-        r = a[k:]
-        c = gcd(den, *r)
-        if c > 1:
-            r, den = [v // c for v in r], den // c
+        r, den = _content_removed(a[k:], den)
         levels.append((k, r, den))
         s += k + 1
         if s > n:

@@ -245,10 +245,15 @@ def multiply(a: ExpRiordan, b: ExpRiordan) -> ExpRiordan:
     return build(a.g * u, v)
 
 
+def _inverse_pair(g: Series, f: Series) -> tuple[Series, Series]:
+    """The pair (1/g(fbar), fbar) of [g, f]^-1, fbar = f.revert(), with no matrix."""
+    fbar = f.revert()
+    return 1 / g.compose(fbar), fbar
+
+
 def inverse(a: ExpRiordan) -> ExpRiordan:
     """Group inverse: [1/g(fbar), fbar] with fbar the compositional inverse."""
-    fbar = a.f.revert()
-    return build(1 / a.g.compose(fbar), fbar)
+    return build(*_inverse_pair(a.g, a.f))
 
 
 def is_derivative_subgroup(a: ExpRiordan) -> bool:

@@ -73,6 +73,12 @@ def _scaled(a: Sequence[Fraction], n: int) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in a] + [0] * (n + 1 - len(a)), den
 
 
+def _content_removed(r: list[int], d: int) -> tuple[list[int], int]:
+    """The integer row r over d, with the gcd of d and every term divided out."""
+    c = gcd(d, *r)
+    return ([v // c for v in r], d // c) if c > 1 else (r, d)
+
+
 def _conv(a: list[int], b: list[int], n: int) -> list[int]:
     """Integer product of two coefficient lists, truncated after x^n; b may be short."""
     a = a[: n + 1] + [0] * (n + 1 - len(a))
@@ -139,8 +145,7 @@ def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[tuple[
     r, d = _scaled(g, n)
     rows = []
     for k in range(n + 1):
-        c = gcd(d, *r)
-        r, d = [v // c for v in r], d // c
+        r, d = _content_removed(r, d)
         rows.append((r, d))
         r, d = _conv(r, fn, n - k - 1), d * fd
     return rows

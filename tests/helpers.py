@@ -488,7 +488,7 @@ def gompertz_identities(n: int) -> bool:
     * the double-sum expression of each entry in Stirling set numbers,
     * the alternating-sum expression of the first column.
     """
-    gom = catalog.build_entry("gompertz", n)
+    gom = build(*catalog.pair("gompertz", n))
     e_x, e_minus_x = catalog.expx_series(n), catalog.expx_series(n, scale=-1)
     u = 1 - e_minus_x  # 1 - e^{-x}
     moment_arr = build(catalog.entry("gompertz").g_series(n), u)
@@ -517,7 +517,7 @@ def gompertz_identities(n: int) -> bool:
 def gudermann_identities(order: int) -> bool:
     """[sech, gd] = [sech, tanh] . [1, arcsin], and [sech, tanh] is the
     moment array of the family with b_k = 0, lambda_k = -k^2."""
-    gud = catalog.build_entry("gudermann", order)
+    gud = build(*catalog.pair("gudermann", order))
     moment_arr = build(catalog.sech_series(order), catalog.tanh_series(order))
     if multiply(moment_arr, build(one(order), catalog.arcsin_series(order))) != gud:
         return False
@@ -531,7 +531,7 @@ def erf_identity(order: int) -> bool:
     """[exp(-x^2), F] = [exp(-x^2), x] . [1, F] for F = int_0^x exp(-t^2) dt,
     and [exp(-x^2), x] is the moment array of the family with
     b_k = 0, lambda_k = -2k."""
-    erf_arr = catalog.build_entry("erf", order)
+    erf_arr = build(*catalog.pair("erf", order))
     hermite_like = build(catalog.gauss_series(order), x(order))
     if multiply(hermite_like, build(one(order), erf_integral_series(order))) != erf_arr:
         return False

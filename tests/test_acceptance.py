@@ -13,7 +13,6 @@ from helpers import gompertz_identities, random_riordan_pair, stirling2
 
 from expriordan import catalog
 from expriordan.catalog import (
-    build_entry,
     entry,
     expx_series,
     ids,
@@ -183,23 +182,22 @@ ALGEBRAIC_BLOCK = from_rows(
 
 def test_criterion_1_displayed_blocks():
     catalog.pair.cache_clear()
-    catalog.build_entry.cache_clear()
     catalog.inverse_pair.cache_clear()
     start = time.perf_counter()
     order = 16
     checks = [
-        _block(build_entry("cos_sin", order).matrix) == COS_SIN_BLOCK,
-        _block(production_definitional(build_entry("cos_sin", order)))
+        _block(build(*pair("cos_sin", order)).matrix) == COS_SIN_BLOCK,
+        _block(production_definitional(build(*pair("cos_sin", order))))
         == COS_SIN_PRODUCTION,
-        _block(production_definitional(inverse(build_entry("cos_sin", order))))
+        _block(production_definitional(inverse(build(*pair("cos_sin", order)))))
         == COS_SIN_INVERSE_PRODUCTION,
-        _block(production_definitional(build_entry("pascal", order)))
+        _block(production_definitional(build(*pair("pascal", order))))
         == PASCAL_PRODUCTION,
-        _block(build_entry("erf", order).matrix) == ERF_BLOCK,
-        _block(production_definitional(build_entry("erf", order))) == ERF_PRODUCTION,
-        _block(build_entry("gompertz", order).matrix) == GOMPERTZ_BLOCK,
+        _block(build(*pair("erf", order)).matrix) == ERF_BLOCK,
+        _block(production_definitional(build(*pair("erf", order)))) == ERF_PRODUCTION,
+        _block(build(*pair("gompertz", order)).matrix) == GOMPERTZ_BLOCK,
         _block(stirling2(order)) == STIRLING_BLOCK,
-        _block(build_entry("algebraic", order).matrix) == ALGEBRAIC_BLOCK,
+        _block(build(*pair("algebraic", order)).matrix) == ALGEBRAIC_BLOCK,
     ]
     elapsed = time.perf_counter() - start
     _report(
@@ -215,7 +213,7 @@ def test_criterion_2_dual_route_and_closed_production():
     ok = True
     for eid in ids():
         g, f = pair(eid, order)
-        definitional = production_definitional(build_entry(eid, order))
+        definitional = production_definitional(build(*pair(eid, order)))
         analytic = production_analytic(za_sequences(g, f), order - 1)
         ok = ok and definitional.leading(order - 1) == analytic
     for eid in ids():
@@ -223,7 +221,7 @@ def test_criterion_2_dual_route_and_closed_production():
             continue  # not in the derivative subgroup
         _, f = pair(eid, order)
         closed = derivative_production_check(f)
-        definitional = production_definitional(build_entry(eid, order))
+        definitional = production_definitional(build(*pair(eid, order)))
         ok = ok and closed.leading(order - 1) == definitional.leading(order - 1)
     elapsed = time.perf_counter() - start
     _report(
@@ -306,7 +304,7 @@ def test_criterion_4_polynomial_families():
         "x^5 + 20x^3 + 60x",
         "x^6 + 30x^4 + 180x^2 + 120",
     ]
-    rows = row_polynomials(build_entry("algebraic", 6))
+    rows = row_polynomials(build(*pair("algebraic", 6)))
     ok = ok and [format_polynomial(row) for row in rows] == [
         "1",
         "x",
@@ -408,7 +406,7 @@ def test_criterion_8_documented_value_corrections():
 
     # The printed Gompertz block variant disagrees with the identity-forced
     # matrix (criterion 1g/6); keep the disagreement pinned.
-    computed = build_entry("gompertz", 8).matrix.leading(7)
+    computed = build(*pair("gompertz", 8)).matrix.leading(7)
     ok = ok and computed == GOMPERTZ_BLOCK
     ok = ok and computed != GOMPERTZ_PRINTED_VARIANT
     ok = ok and GOMPERTZ_PRINTED_VARIANT.entry(1, 1) == -1  # breaks t_nn = 1

@@ -12,6 +12,8 @@ from helpers import (
     gd_series,
     gompertz_identities,
     gudermann_identities,
+    lagrange_revert,
+    naive_compose,
     naive_mul,
     stirling2,
 )
@@ -19,7 +21,6 @@ from helpers import (
 from expriordan import catalog
 from expriordan.catalog import (
     SampleGrid,
-    build_entry,
     cos_series,
     cosh_series,
     entry,
@@ -73,51 +74,55 @@ def test_gompertz_array_row3():
     # factorizations, and the Stirling double-sum identity; a circulating
     # rendering of this block flips the odd-column signs (its diagonal even
     # alternates, contradicting unit-diagonality) and garbles three entries.
-    arr = build_entry("gompertz", 8)
+    arr = build(*pair("gompertz", 8))
     assert arr.matrix.rows[3][:4] == (1, -4, 0, 1)
     assert arr.matrix.rows[3][:4] != (1, 4, 0, -1)
 
 
 def test_erf_array_row4():
-    arr = build_entry("erf", 8)
+    arr = build(*pair("erf", 8))
     assert arr.matrix.rows[4][:5] == (12, 0, -20, 0, 1)
 
 
 def test_derivative_subgroup_membership():
     for eid in SIGMOID_IDS + ("cos_sin",):
-        assert is_derivative_subgroup(build_entry(eid, 10)), eid
-    assert not is_derivative_subgroup(build_entry("pascal", 10))
+        assert is_derivative_subgroup(build(*pair(eid, 10))), eid
+    assert not is_derivative_subgroup(build(*pair("pascal", 10)))
 
 
 def test_checkerboard_membership():
     for eid in SIGMOID_IDS:
         expected = eid != "gompertz"
-        assert is_checkerboard(build_entry(eid, 10)) is expected, eid
-    assert is_checkerboard(build_entry("cos_sin", 10))
-    assert not is_checkerboard(build_entry("pascal", 10))
+        assert is_checkerboard(build(*pair(eid, 10))) is expected, eid
+    assert is_checkerboard(build(*pair("cos_sin", 10)))
+    assert not is_checkerboard(build(*pair("pascal", 10)))
 
 
 def test_stated_inverse_pairs():
+    # Orders 1..13 cover every array that `array|produce --inverse --order 12` builds.
     for eid in ids():
         if entry(eid).inverse_g is None:
             continue
-        computed = inverse(build_entry(eid, 10))
-        stated = build(*inverse_pair(eid, 10))
-        assert computed == stated, eid
+        for n in range(1, 14):
+            computed = inverse(build(*pair(eid, n)))
+            stated = build(*inverse_pair(eid, n))
+            assert computed == stated, (eid, n)
 
 
 def test_order_zero_pairs():
     for eid in ids():
-        sides = [pair(eid, 0)]
-        if entry(eid).inverse_g is not None:
-            sides.append(inverse_pair(eid, 0))
-        for g, f in sides:
+        for g, f in (pair(eid, 0), inverse_pair(eid, 0)):
             assert (g.order, f.order) == (0, 0), eid
 
 
-def test_erf_has_no_closed_inverse():
-    with pytest.raises(ValueError, match="no closed-form inverse"):
-        inverse_pair("erf", 8)
+@pytest.mark.parametrize("n", [0, 1, 8, 24])
+def test_erf_inverse_pair_against_lagrange(n):
+    # erf states no inverse; inverse_pair reverts f.  Oracle: Lagrange
+    # inversion and the schoolbook composition, at order 1 at least.
+    m = max(n, 1)
+    fbar = lagrange_revert(erf_integral_series(m))
+    gbar = div_by_long_division(one(m), naive_compose(catalog.gauss_series(m), fbar))
+    assert inverse_pair("erf", n) == (gbar.truncate(n), fbar.truncate(n))
 
 
 def test_gudermann_inverse_f_three_ways():
@@ -131,8 +136,8 @@ def test_gudermann_inverse_f_three_ways():
 
 
 def test_tanh2_scaling_law():
-    a = build_entry("tanh", 9).matrix
-    b = build_entry("tanh2", 9).matrix
+    a = build(*pair("tanh", 9)).matrix
+    b = build(*pair("tanh2", 9)).matrix
     for n in range(10):
         for k in range(n + 1):
             assert b.entry(n, k) == F(2) ** (n - k) * a.entry(n, k)
@@ -142,7 +147,7 @@ def test_jacobi_metadata_matches_computation():
     for eid in ids():
         e = entry(eid)
         if e.jacobi is not None:
-            got = tridiagonal_params(production_definitional(build_entry(eid, 10)))
+            got = tridiagonal_params(production_definitional(build(*pair(eid, 10))))
             assert got == e.jacobi, eid
         if e.inverse_jacobi is not None:
             got = tridiagonal_params(
@@ -153,7 +158,7 @@ def test_jacobi_metadata_matches_computation():
 
 def test_non_tridiagonal_sides():
     for eid in ("algebraic", "quartic", "erf", "gompertz", "cos_sin"):
-        got = tridiagonal_params(production_definitional(build_entry(eid, 10)))
+        got = tridiagonal_params(production_definitional(build(*pair(eid, 10))))
         assert got is None, eid
 
 
@@ -189,7 +194,7 @@ def test_gompertz_identities_small_case():
         tri.entry(3, j + 1) * (-1) ** (2 - j) * tri.entry(j + 1, 1) for j in range(3)
     )
     assert total == -1
-    assert build_entry("gompertz", 4).matrix.entry(2, 0) == -1
+    assert build(*pair("gompertz", 4)).matrix.entry(2, 0) == -1
 
 
 def test_gompertz_identities_full():
@@ -213,7 +218,7 @@ def test_erf_identity():
 
 
 def test_erf_sigmoid_production_row5():
-    p = production_definitional(build_entry("erf", 8))
+    p = production_definitional(build(*pair("erf", 8)))
     assert p.rows[5][:7] == (-56, 0, -60, 0, -30, 0, 1)
 
 

@@ -10,8 +10,14 @@ from helpers import hankel_formula
 
 from expriordan import catalog
 from expriordan.cli import MAX_SAMPLES, main
-from expriordan.catalog import build_entry
-from expriordan.riordan import matrix_from_json
+from expriordan.production import production_definitional
+from expriordan.riordan import (
+    build,
+    format_polynomial,
+    inverse,
+    matrix_from_json,
+    row_polynomials,
+)
 
 
 def run(capsys, *argv):
@@ -55,7 +61,7 @@ def test_array_json_round_trip(capsys):
     assert code == 0
     name, m = matrix_from_json(json.loads(out))
     assert name == "erf"
-    assert m == build_entry("erf", 8).matrix
+    assert m == build(*catalog.pair("erf", 8)).matrix
 
 
 def test_array_egf_input(capsys):
@@ -146,16 +152,15 @@ def test_moments_arctan_inverse(capsys):
     assert out.strip() == "1, 0, 2, 0, 16, 0, 272, 0, 7936"
 
 
-CLOSED_FORM_SIDES = [
+ENTRY_SIDES = [
     pytest.param(eid, side, id=eid + "".join(side))
     for eid in catalog.ids()
     for side in ((), ("--inverse",))
-    if not side or catalog.entry(eid).inverse_g is not None
 ]
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 24])
-@pytest.mark.parametrize("eid, side", CLOSED_FORM_SIDES)
+@pytest.mark.parametrize("eid, side", ENTRY_SIDES)
 def test_moments_read_the_prefix_of_the_order_64_jet(capsys, eid, side, n):
     # `moments` reads the order-n jet; it must agree with a longer one.
     get = catalog.inverse_pair if side else catalog.pair
@@ -166,10 +171,68 @@ def test_moments_read_the_prefix_of_the_order_64_jet(capsys, eid, side, n):
         assert out == ", ".join(map(str, s.egf()[: n + 1])) + "\n"
 
 
+def test_erf_inverse_has_the_inverse_error_function_coefficients(capsys):
+    # (2k)! c_k, with erfinv(z) = sum c_k/(2k+1) (sqrt(pi) z/2)^(2k+1) (OEIS A002067).
+    code, out, err = run(capsys, "moments", "erf", "--inverse", "--of", "f", "--n", "9")
+    assert (code, err) == (0, "")
+    assert out == "0, 1, 0, 2, 0, 28, 0, 1016, 0, 69904\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("hankel", "erf", "--inverse", "--n", "5"), "0, -1, 0, 576, 0, -543581798400\n"),
+        (("cf", "erf", "--inverse", "--depth", "4"), "b: 0, 0, 0, 0\nlambda: 2, 12, 26, 640/13\n"),
+    ],
+    ids=("hankel", "cf"),
+)
+def test_erf_inverse_sequence_commands(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("eid, side", ENTRY_SIDES)
+def test_array_commands_print_what_the_reverted_array_prints(capsys, eid, side):
+    # The route every --inverse took before inverse_pair covered every entry:
+    # realize the forward array and invert it.  `poly` printed rows of the
+    # order-16 array; it now reads order max(n, 1).
+    def arr(n):
+        a = build(*catalog.pair(eid, n))
+        return inverse(a) if side else a
+
+    for n in range(1, 13):
+        out = run(capsys, "array", eid, *side, "--order", str(n))[1]
+        assert out == arr(n).matrix.render_text() + "\n", n
+    for n in range(2, 13):  # produce needs order 2 for its Jacobi line
+        out = run(capsys, "produce", eid, *side, "--order", str(n))[1]
+        want = production_definitional(arr(n + 1)).render_text()
+        assert out.splitlines()[:-1] == want.splitlines(), n
+    polys = [format_polynomial(p) for p in row_polynomials(arr(16))]
+    for n in range(17):
+        out = run(capsys, "poly", eid, *side, "--n", str(n))[1]
+        assert out == "\n".join(polys[: n + 1]) + "\n", n
+
+
 def test_poly_algebraic(capsys):
     code, out, _ = run(capsys, "poly", "algebraic", "--n", "6")
     assert code == 0
     assert out.splitlines()[-1] == "x^6 - 105x^4 + 1575x^2 - 1575"
+
+
+def test_poly_order_follows_n(capsys):
+    # Past the old default order of 16, which printed "array only provides 17 polynomials".
+    code, out, err = run(capsys, "poly", "tanh", "--n", "20")
+    assert (code, err) == (0, "")
+    polys = row_polynomials(build(*catalog.pair("tanh", 20)))
+    assert out == "\n".join(map(format_polynomial, polys)) + "\n"
+
+
+def test_poly_reads_a_spec_whole(capsys):
+    # A spec longer than --n + 1 terms is read at its own length, up to the size cap.
+    g = ",".join(["1"] + ["0"] * 9)
+    assert run(capsys, "poly", "--g", g, "--f", "0,1", "--n", "2") == (0, "1\nx\nx^2\n", "")
+    g = ",".join(["1"] + ["0"] * 65)
+    code, out, err = run(capsys, "poly", "--g", g, "--f", "0,1", "--n", "2")
+    assert (code, out, err) == (1, "", "error: 66 coefficients exceed order 64\n")
 
 
 def test_cf_gompertz(capsys):
@@ -246,15 +309,21 @@ def test_plotdata_algebraic_far_out(capsys):
         ),
         (("quartic", "--tmin", "1e77", "--tmax", "1e78"), ["1e+77,1,0", "1e+78,1,0"]),
         (("quartic", "--tmin=-1e78", "--tmax=-1e77"), ["-1e+78,-1,0", "-1e+77,-1,0"]),
+        (("gompertz", "--tmin=-800", "--tmax=-700"), ["-800,-1,0", "-700,-1,0"]),
+        # t_min + step rounds to 0 here; the last row is t_max itself.
+        (
+            ("tanh", "--tmin=-1e100", "--tmax=-355"),
+            ["-1e+100,-1,0", "-355,-1,1.79051449027005e-308"],
+        ),
     ],
     ids=[
         "tanh", "tanh_negative", "tanh2", "gudermann", "gudermann_negative", "quartic",
-        "quartic_negative",
+        "quartic_negative", "gompertz_negative", "tanh_far_window",
     ],
 )
 def test_plotdata_far_out(capsys, argv, rows):
-    # cosh(t)**2, sinh, cosh and t**4 overflow here; f is at its limit and
-    # f' is its exponentially small tail, 0 once that underflows.
+    # cosh(t)**2, sinh, cosh, t**4 and exp(-t) overflow here; f is at its
+    # limit and f' is its exponentially small tail, 0 once that underflows.
     code, out, err = run(capsys, "plotdata", *argv, "--samples", "2")
     assert (code, err) == (0, "")
     assert out.splitlines() == ["t,f,fprime", *rows]
@@ -338,7 +407,6 @@ LIBRARY_ERRORS = [
     (("moments", "logistic"), UNKNOWN_ID),
     (("cf", "logistic"), UNKNOWN_ID),
     (("plotdata", "logistic"), UNKNOWN_ID),
-    (("moments", "erf", "--inverse"), "error: entry 'erf' has no closed-form inverse pair\n"),
     (("cf", "tanh", "--of", "f"), "error: moment sequence must start with m_0 = 1\n"),
     (("plotdata", "tanh", "--samples", "1"), "error: need at least two samples\n"),
     (
@@ -350,8 +418,6 @@ LIBRARY_ERRORS = [
         ("plotdata", "tanh", "--tmax", "inf", "--samples", "3"),
         "error: t_min and t_max must be finite\n",
     ),
-    # exp(800) overflows in the float evaluator; this used to be a traceback.
-    (("plotdata", "gompertz", "--tmin", "-800", "--tmax", "-700"), "error: math range error\n"),
 ]
 
 
@@ -417,11 +483,12 @@ def test_hankel_seq_takes_no_entry(capsys, argv):
         ("hankel", "tanh", "--n", "5", "--order", "64"),
         ("moments", "gompertz", "--order", "16"),
         ("cf", "gompertz", "--order", "16"),
+        ("poly", "algebraic", "--order", "6"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_sequence_commands_take_no_order(capsys, argv):
-    # These read the jet order off the length they need.
+    # These, and `poly`, read the jet order off the length they need.
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: unrecognized arguments: " + " ".join(argv[-2:]) + "\n"
@@ -542,3 +609,17 @@ def test_golden_reproduce_tables():
     ).stdout
     digest = "422de6d8b8521f7347cfb1feb7b7b7c17fcea93366ebfbbf82de777891336fff"
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_export_plot_data_writes_what_plotdata_prints(capsys, tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    script = [sys.executable, str(root / "scripts" / "export_plot_data.py"), "--outdir"]
+    subprocess.run([*script, str(tmp_path)], env=env, capture_output=True, check=True)
+    assert (tmp_path / "tanh_curve.csv").read_text() == run(capsys, "plotdata", "tanh")[1]
+    # A window the CLI rejects stops the script with its diagnostic.
+    bad = subprocess.run(
+        [*script, str(tmp_path / "bad"), "--tmax", "inf"], env=env, capture_output=True, text=True
+    )
+    assert (bad.returncode, bad.stderr) == (1, "error: t_min and t_max must be finite\n")

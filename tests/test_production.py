@@ -12,7 +12,7 @@ from helpers import (
     za_by_definition,
 )
 
-from expriordan.catalog import build_entry, ids, inverse_pair, pair, za_closed_form
+from expriordan.catalog import ids, inverse_pair, pair, za_closed_form
 from expriordan.production import (
     JacobiParams,
     ZAPair,
@@ -29,7 +29,7 @@ DERIVATIVE_SUBGROUP_IDS = tuple(eid for eid in ids() if eid != "pascal")
 
 
 def test_pascal_production_is_bidiagonal_ones():
-    p = production_definitional(build_entry("pascal", 8))
+    p = production_definitional(build(*pair("pascal", 8)))
     for n in range(p.dim):
         for k in range(p.dim):
             assert p.entry(n, k) == (1 if k in (n, n + 1) else 0)
@@ -43,7 +43,7 @@ def test_pascal_za_is_one_one():
 
 
 def test_cos_sin_production_rows():
-    p = production_definitional(build_entry("cos_sin", 10))
+    p = production_definitional(build(*pair("cos_sin", 10)))
     assert p.rows[3][:5] == (-3, 0, -6, 0, 1)
     assert p.rows[5][:7] == (-45, 0, -45, 0, -15, 0, 1)
 
@@ -64,7 +64,7 @@ def test_tanh_za_is_polynomial():
 
 
 def test_erf_production_row():
-    p = production_definitional(build_entry("erf", 8))
+    p = production_definitional(build(*pair("erf", 8)))
     assert p.rows[3][:5] == (-4, 0, -12, 0, 1)
 
 
@@ -113,7 +113,7 @@ def test_za_sequences_match_definition(data, order):
 def test_dual_route_production_agrees(eid):
     order = 10
     g, f = pair(eid, order)
-    definitional = production_definitional(build_entry(eid, order))
+    definitional = production_definitional(build(*pair(eid, order)))
     analytic = production_analytic(za_sequences(g, f), order - 1)
     assert definitional.leading(order - 1) == analytic
 
@@ -124,7 +124,7 @@ def test_derivative_subgroup_closed_production(eid):
     order = 10
     _, f = pair(eid, order)
     closed = derivative_production_check(f)
-    definitional = production_definitional(build_entry(eid, order))
+    definitional = production_definitional(build(*pair(eid, order)))
     block = order - 1
     assert closed.leading(block) == definitional.leading(block)
 
@@ -146,7 +146,7 @@ def test_stated_inverse_za_forms_match_computed():
     for eid in ("arctan", "algebraic", "quartic", "gudermann", "cos_sin"):
         order = 12
         g, f = (s for s in pair(eid, order))
-        inv = inverse(build_entry(eid, order))
+        inv = inverse(build(*pair(eid, order)))
         za = za_sequences(inv.g, inv.f)
         stated = inverse_za_closed_form(eid, order - 1)
         assert za.z == stated.z, eid
@@ -158,10 +158,10 @@ def test_tridiagonal_params_examples():
         production_definitional(build(*inverse_pair("arctan", 10)))
     ) == JacobiParams(0, 2, 0, 1)
     assert tridiagonal_params(
-        production_definitional(build_entry("tanh", 10))
+        production_definitional(build(*pair("tanh", 10)))
     ) == JacobiParams(0, -2, 0, -1)
-    assert tridiagonal_params(production_definitional(build_entry("algebraic", 10))) is None
-    assert tridiagonal_params(production_definitional(build_entry("pascal", 10))) == JacobiParams(
+    assert tridiagonal_params(production_definitional(build(*pair("algebraic", 10)))) is None
+    assert tridiagonal_params(production_definitional(build(*pair("pascal", 10)))) == JacobiParams(
         1, 0, 0, 0
     )
 
@@ -174,7 +174,7 @@ def test_tanh_params_give_recurrence_coefficients():
 
 def test_tridiagonal_params_verifies_whole_matrix():
     # A matrix that fits (alpha, beta) at the corner but breaks deeper in.
-    p = production_definitional(build_entry("tanh", 8))
+    p = production_definitional(build(*pair("tanh", 8)))
     rows = [list(r) for r in p.rows]
     rows[4][3] += 1
     from expriordan.riordan import TriMatrix
@@ -185,7 +185,7 @@ def test_tridiagonal_params_verifies_whole_matrix():
 def test_generation_property():
     # The first row of P^n reproduces row n of the array.
     for eid in ("cos_sin", "gompertz", "erf"):
-        arr = build_entry(eid, 9)
+        arr = build(*pair(eid, 9))
         p = production_definitional(arr)
         for n in range(6):
             got = power_first_row(p, n)[: n + 1]

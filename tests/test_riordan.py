@@ -12,8 +12,8 @@ from helpers import gd_series, naive_build, naive_mat_mul, random_riordan_pair
 
 from expriordan.catalog import (
     arcsin_series,
-    build_entry,
     expx_series,
+    pair,
     sech_series,
     tanh_series,
 )
@@ -54,20 +54,20 @@ def test_build_matches_naive_oracle(data, order):
 
 
 def test_pascal_triangle():
-    arr = build_entry("pascal", 8)
+    arr = build(*pair("pascal", 8))
     for n in range(9):
         for k in range(9):
             assert arr.matrix.entry(n, k) == (comb(n, k) if k <= n else 0)
 
 
 def test_cos_sin_rows():
-    arr = build_entry("cos_sin", 8)
+    arr = build(*pair("cos_sin", 8))
     assert arr.matrix.rows[3][:4] == (0, -4, 0, 1)
     assert arr.matrix.rows[6][:7] == (-1, 0, 91, 0, -35, 0, 1)
 
 
 def test_erf_rows():
-    arr = build_entry("erf", 8)
+    arr = build(*pair("erf", 8))
     assert arr.matrix.rows[3][:4] == (0, -8, 0, 1)
     assert arr.matrix.rows[6][:7] == (-120, 0, 532, 0, -70, 0, 1)
 
@@ -85,7 +85,7 @@ def test_build_validation():
 
 def test_unit_diagonal_invariant():
     for eid in ("tanh", "gompertz", "quartic"):
-        m = build_entry(eid, 8).matrix
+        m = build(*pair(eid, 8)).matrix
         assert all(m.entry(i, i) == 1 for i in range(m.dim))
 
 
@@ -95,7 +95,7 @@ def test_unit_diagonal_invariant():
 
 
 def test_multiply_identity():
-    a = build_entry("tanh", 8)
+    a = build(*pair("tanh", 8))
     ident = build(one(8), x(8))
     assert multiply(a, ident) == a
     assert multiply(ident, a) == a
@@ -113,11 +113,11 @@ def test_gompertz_factorizes_through_stirling_arrays():
     n = 10
     left = build(expx_series(n, scale=-1), 1 - expx_series(n, scale=-1))
     right = build(expx_series(n), expx_series(n) - 1)
-    assert multiply(left, right) == build_entry("gompertz", n)
+    assert multiply(left, right) == build(*pair("gompertz", n))
 
 
 def test_inverse_pascal():
-    inv = inverse(build_entry("pascal", 8))
+    inv = inverse(build(*pair("pascal", 8)))
     for n in range(9):
         for k in range(n + 1):
             assert inv.matrix.entry(n, k) == (-1) ** (n - k) * comb(n, k)
@@ -125,7 +125,7 @@ def test_inverse_pascal():
 
 def test_inverse_of_tanh_array():
     n = 10
-    inv = inverse(build_entry("tanh", n))
+    inv = inverse(build(*pair("tanh", n)))
     geom_x2 = Series(tuple(F(1) if k % 2 == 0 else F(0) for k in range(n + 1)))
     artanh = Series(
         tuple(F(1, k) if k % 2 else F(0) for k in range(n + 1))
@@ -164,7 +164,7 @@ def test_associativity_random():
 def test_derivative_subgroup_closure():
     rng = random.Random(3)
     n = 8
-    members = [build_entry(eid, n) for eid in ("tanh", "cos_sin", "gompertz")]
+    members = [build(*pair(eid, n)) for eid in ("tanh", "cos_sin", "gompertz")]
     for _ in range(5):
         fp = [F(1)] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
         f = [F(0)] + [c / (k + 1) for k, c in enumerate(fp)]
@@ -177,17 +177,17 @@ def test_derivative_subgroup_closure():
 
 
 def test_subgroup_predicates():
-    cos_sin = build_entry("cos_sin", 8)
+    cos_sin = build(*pair("cos_sin", 8))
     assert is_derivative_subgroup(cos_sin) and is_checkerboard(cos_sin)
-    pascal = build_entry("pascal", 8)
+    pascal = build(*pair("pascal", 8))
     assert not is_derivative_subgroup(pascal) and not is_checkerboard(pascal)
-    gom = build_entry("gompertz", 8)
+    gom = build(*pair("gompertz", 8))
     assert is_derivative_subgroup(gom) and not is_checkerboard(gom)
 
 
 def test_checkerboard_zero_pattern():
     for eid in ("tanh", "arctan", "erf", "cos_sin"):
-        m = build_entry(eid, 9).matrix
+        m = build(*pair(eid, 9)).matrix
         for n in range(m.dim):
             for k in range(n + 1):
                 if (n - k) % 2 == 1:
@@ -211,8 +211,8 @@ def test_shift_apply_of_identity_is_shift_matrix():
 
 
 def test_binomial_times_signed_binomial_is_identity():
-    a = build_entry("pascal", 7).matrix
-    b = inverse(build_entry("pascal", 7)).matrix
+    a = build(*pair("pascal", 7)).matrix
+    b = inverse(build(*pair("pascal", 7))).matrix
     assert mat_mul(a, b) == identity_matrix(8)
 
 
@@ -279,7 +279,7 @@ def test_band_violation_rejected():
 
 
 def test_leading_block():
-    m = build_entry("pascal", 6).matrix
+    m = build(*pair("pascal", 6)).matrix
     assert m.leading(3).rows == ((1, 0, 0), (1, 1, 0), (1, 2, 1))
 
 
@@ -294,7 +294,7 @@ def test_identity_row_polynomials():
 
 
 def test_algebraic_family():
-    polys = row_polynomials(build_entry("algebraic", 6))
+    polys = row_polynomials(build(*pair("algebraic", 6)))
     assert [format_polynomial(p) for p in polys] == [
         "1",
         "x",
@@ -307,7 +307,7 @@ def test_algebraic_family():
 
 
 def test_arctan_family_rows():
-    polys = row_polynomials(build_entry("arctan", 6))
+    polys = row_polynomials(build(*pair("arctan", 6)))
     assert [format_polynomial(p) for p in polys[:5]] == [
         "1",
         "x",
@@ -335,7 +335,7 @@ def test_bivariate_generating_function_consistency():
     # an independent route to the rows; compare n! [x^n] against row n.
     n_max = 6
     for eid in ("cos_sin", "gompertz", "tanh"):
-        g, f = build_entry(eid, n_max).g, build_entry(eid, n_max).f
+        g, f = build(*pair(eid, n_max)).g, build(*pair(eid, n_max)).f
         u = [[F(0)], *[[F(0), c] for c in f.coeffs[1:]]]  # y*f, poly-in-y coeffs
         e: list[list[F]] = [[F(1)]]
         for k in range(1, n_max + 1):
@@ -347,7 +347,7 @@ def test_bivariate_generating_function_consistency():
                     for a, b in zip(acc + [F(0)] * len(term), term + [F(0)] * len(acc))
                 ]
             e.append([c / k for c in acc])
-        rows = build_entry(eid, n_max).matrix.rows
+        rows = build(*pair(eid, n_max)).matrix.rows
         for n in range(n_max + 1):
             prod: list[F] = [F(0)]
             for j in range(n + 1):
@@ -368,7 +368,7 @@ def test_bivariate_generating_function_consistency():
 
 
 def test_matrix_json_round_trip():
-    m = build_entry("gompertz", 6).matrix
+    m = build(*pair("gompertz", 6)).matrix
     payload = json.dumps(matrix_to_json(m, "gompertz"))
     name, back = matrix_from_json(json.loads(payload))
     assert name == "gompertz"
@@ -376,5 +376,5 @@ def test_matrix_json_round_trip():
 
 
 def test_matrix_text_alignment():
-    text = build_entry("pascal", 2).matrix.render_text()
+    text = build(*pair("pascal", 2)).matrix.render_text()
     assert text.splitlines() == ["1  0  0", "1  1  0", "1  2  1"]

@@ -143,8 +143,8 @@ PairBuilder = Callable[[int], Series]
 
 class CatalogEntry(_Frozen):
     __slots__ = (
-        "id", "g_label", "f_label", "notes", "is_sigmoid", "g_series", "f_eval",
-        "fprime_eval", "f_series", "inverse_g", "inverse_f", "a_closed", "z_closed",
+        "id", "g_label", "f_label", "notes", "g_series", "f_eval", "fprime_eval",
+        "f_series", "inverse_g", "inverse_f", "a_closed", "z_closed",
         "jacobi", "inverse_jacobi",
     )
 
@@ -154,7 +154,6 @@ class CatalogEntry(_Frozen):
         g_label: str,
         f_label: str,
         notes: str,
-        is_sigmoid: bool,
         g_series: PairBuilder,
         f_eval: Callable[[float], float],
         fprime_eval: Callable[[float], float],
@@ -168,7 +167,7 @@ class CatalogEntry(_Frozen):
         inverse_jacobi: Optional[JacobiParams] = None,
     ) -> None:
         self._set_fields(
-            id, g_label, f_label, notes, is_sigmoid, g_series, f_eval, fprime_eval,
+            id, g_label, f_label, notes, g_series, f_eval, fprime_eval,
             f_series, inverse_g, inverse_f, a_closed, z_closed, jacobi, inverse_jacobi,
         )
 
@@ -271,7 +270,6 @@ _register(
         g_label="sech^2(x)",
         f_label="tanh(x)",
         notes="rescaled logistic; both production routes tridiagonal",
-        is_sigmoid=True,
         g_series=lambda n: 1 - tanh_series(n) ** 2,
         f_eval=math.tanh,
         fprime_eval=lambda t: _sech_power(t, 2),
@@ -289,7 +287,6 @@ _register(
         g_label="sech^2(2x)",
         f_label="tanh(2x)/2",
         notes="argument-doubled variant of tanh; entries scale by 2^(n-k)",
-        is_sigmoid=True,
         g_series=lambda n: 1 - tanh_series(n).scale_argument(2) ** 2,
         f_eval=lambda t: 0.5 * math.tanh(2.0 * t),
         fprime_eval=lambda t: _sech_power(2.0 * t, 2),
@@ -307,7 +304,6 @@ _register(
         g_label="1/(1+x^2)",
         f_label="arctan(x)",
         notes="inverse-tangent sigmoid; the array is itself a coefficient array",
-        is_sigmoid=True,
         g_series=lambda n: _geom_x2(-1, n),
         f_eval=math.atan,
         fprime_eval=lambda t: 1.0 / (1.0 + t * t),
@@ -325,7 +321,6 @@ _register(
         g_label="(1+x^2)^(-3/2)",
         f_label="x/sqrt(1+x^2)",
         notes="algebraic sigmoid; production is not tridiagonal on either side",
-        is_sigmoid=True,
         g_series=lambda n: pow_rational(_poly([1, 0, 1], n), Fraction(-3, 2)),
         f_eval=_algebraic_f,
         fprime_eval=lambda t: (1.0 + t * t) ** -1.5,
@@ -342,7 +337,6 @@ _register(
         g_label="(1+x^4)^(-5/4)",
         f_label="x/(1+x^4)^(1/4)",
         notes="quartic member of the algebraic-sigmoid family",
-        is_sigmoid=True,
         g_series=lambda n: pow_rational(_poly([1, 0, 0, 0, 1], n), Fraction(-5, 4)),
         f_eval=_quartic_f,
         fprime_eval=_quartic_fprime,
@@ -363,7 +357,6 @@ _register(
         g_label="sech(x)",
         f_label="gd(x) = arctan(sinh(x))",
         notes="Gudermannian; factors through the secant-moment array",
-        is_sigmoid=True,
         g_series=sech_series,
         f_eval=_gudermann_f,
         fprime_eval=lambda t: _sech_power(t, 1),
@@ -380,7 +373,6 @@ _register(
         g_label="exp(-x^2)",
         f_label="(sqrt(pi)/2) erf(x)",
         notes="error-function sigmoid; no closed form for the inverse pair",
-        is_sigmoid=True,
         g_series=gauss_series,
         f_eval=lambda t: 0.5 * math.sqrt(math.pi) * math.erf(t),
         fprime_eval=lambda t: math.exp(-t * t),
@@ -393,7 +385,6 @@ _register(
         g_label="exp(1-x-exp(-x))",
         f_label="exp(1-exp(-x)) - 1",
         notes="Gompertz growth curve; not odd, tied to Stirling set numbers",
-        is_sigmoid=True,
         g_series=_gompertz_g,
         f_eval=_gompertz_f,
         fprime_eval=_gompertz_fprime,
@@ -410,7 +401,6 @@ _register(
         g_label="cos(x)",
         f_label="sin(x)",
         notes="circular pair; parametric plot is the unit circle",
-        is_sigmoid=False,
         g_series=cos_series,
         f_eval=math.sin,
         fprime_eval=math.cos,
@@ -427,7 +417,6 @@ _register(
         g_label="exp(x)",
         f_label="x",
         notes="binomial triangle; bidiagonal production matrix",
-        is_sigmoid=False,
         g_series=expx_series,
         f_series=x,
         f_eval=lambda t: t,
@@ -500,6 +489,8 @@ class SampleGrid(_Frozen):
             raise ValueError("t_min must be strictly below t_max")
         if samples < 2:
             raise ValueError("need at least two samples")
+        if not math.isfinite(t_max - t_min):
+            raise ValueError("t_max - t_min must be finite")
         self._set_fields(t_min, t_max, samples)
 
     def points(self) -> list[float]:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .riordan import ExpRiordan, TriMatrix, _realize, build, shift_apply, solve_lower
-from .series import Series, _Frozen, x
+from .riordan import ExpRiordan, TriMatrix, _realize, solve_lower
+from .series import Series, _Frozen
 
 __all__ = [
     "ZAPair",
@@ -27,7 +27,6 @@ __all__ = [
     "za_sequences",
     "production_analytic",
     "tridiagonal_params",
-    "derivative_production_check",
 ]
 
 
@@ -126,13 +125,3 @@ def tridiagonal_params(p: TriMatrix) -> JacobiParams | None:
             if v != expect:
                 return None
     return params
-
-
-def derivative_production_check(f: Series) -> TriMatrix:
-    """U . [1/fbar', x], the closed production form for the pair [f', f]."""
-    if f[0] != 0 or f.order < 1 or f[1] != 1:
-        raise ValueError("expected a sigmoid-normalized f (f(0)=0, f'(0)=1)")
-    fbar = f.revert()
-    a = 1 / fbar.derive()  # equals f'(fbar); order N-1
-    arr = build(a, x(a.order))
-    return shift_apply(arr.matrix)

@@ -22,15 +22,11 @@ __all__ = [
     "mat_mul",
     "mat_inverse",
     "solve_lower",
-    "shift_apply",
     "build",
     "multiply",
     "inverse",
     "row_polynomials",
-    "is_derivative_subgroup",
-    "is_checkerboard",
     "matrix_to_json",
-    "matrix_from_json",
     "format_polynomial",
 ]
 
@@ -169,17 +165,6 @@ def mat_inverse(a: TriMatrix) -> TriMatrix:
     return TriMatrix(solve_lower(a, identity_matrix(a.dim).rows))
 
 
-def shift_apply(a: TriMatrix) -> TriMatrix:
-    """Drop the first row and shift the rest up; the last row becomes zero.
-
-    This realizes left-multiplication by the shift matrix U (ones on the
-    superdiagonal), so the result is lower-Hessenberg.
-    """
-    dim = a.dim
-    zero_row = tuple(Fraction(0) for _ in range(dim))
-    return TriMatrix(tuple(a.rows[1:]) + (zero_row,))
-
-
 # ---------------------------------------------------------------------------
 # exponential Riordan arrays
 # ---------------------------------------------------------------------------
@@ -256,17 +241,6 @@ def inverse(a: ExpRiordan) -> ExpRiordan:
     return build(*_inverse_pair(a.g, a.f))
 
 
-def is_derivative_subgroup(a: ExpRiordan) -> bool:
-    """True when g equals f' exactly to order N-1."""
-    fp = a.f.derive()
-    return fp.agrees_to(a.g, fp.order)
-
-
-def is_checkerboard(a: ExpRiordan) -> bool:
-    """True when g is even and f is odd to order N."""
-    return a.g.is_even() and a.f.is_odd()
-
-
 def row_polynomials(a: ExpRiordan) -> tuple[tuple[Fraction, ...], ...]:
     """The polynomials obtained by applying the array to (1, x, x^2, ...)^T:
     row n holds the ascending coefficients of p_n(x) = sum_k c[n][k] x^k."""
@@ -312,11 +286,3 @@ def matrix_to_json(m: TriMatrix, name: str = "matrix") -> dict:
         "order": m.dim - 1,
         "rows": [[str(v) for v in row] for row in m.rows],
     }
-
-
-def matrix_from_json(obj: dict) -> tuple[str, TriMatrix]:
-    rows = tuple(tuple(Fraction(v) for v in row) for row in obj["rows"])
-    m = TriMatrix(rows)
-    if m.dim - 1 != obj["order"]:
-        raise ValueError("order field disagrees with row count")
-    return obj.get("name", "matrix"), m

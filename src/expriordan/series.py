@@ -445,17 +445,11 @@ class Series(_Frozen):
         q = Fraction(c)
         return Series(tuple(ck * q**k for k, ck in enumerate(self.coeffs)))
 
-    # -- views and predicates --------------------------------------------------
+    # -- views -----------------------------------------------------------------
 
     def egf(self) -> tuple[Fraction, ...]:
         """Exponential-coefficient view: n-th entry is n! * c_n."""
         return tuple(factorial(n) * c for n, c in enumerate(self.coeffs))
-
-    def is_even(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1::2])
-
-    def is_odd(self) -> bool:
-        return all(c == 0 for c in self.coeffs[0::2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the implementation paths it
-checks: reversion is cross-checked by Lagrange inversion; series division
-by schoolbook long division over Fractions, where the library picks OGF or
-EGF integer coordinates by the operands' sizes; exp by the
-ordinary-coefficient recurrence and log by long division and integration,
-where the library runs both on one integer recurrence in EGF coordinates;
-arrays, composition and the analytic production matrix by schoolbook loops
-over Fractions rather than the library's table of series powers; moments by
-the Jacobi-matrix recurrence; Hankel determinants by Gaussian elimination
-over Fractions; J-fraction coefficients by determinant ratios and by peeling
-one level per series division; J-fraction expansions by one series division
-per level; triangular solves and matrix powers by schoolbook products; and
-so on.  The catalog's f and the inverse side's (Z, A) are stated in closed
-forms other than the ones the catalog computes.  The identity suites at the
-end are not oracles: they check factorizations of catalog arrays through the
-library's own group law and production routes.
+checks: reversion is cross-checked by Lagrange inversion over schoolbook
+products; series division by schoolbook long division over Fractions, where
+the library picks OGF or EGF integer coordinates by the operands' sizes; exp
+by the ordinary-coefficient recurrence and log by long division and
+integration, where the library runs both on one integer recurrence in EGF
+coordinates; arrays, composition and the analytic production matrix by
+schoolbook loops over Fractions rather than the library's table of series
+powers; the derivative subgroup's production matrix by its closed form
+U . [1/fbar', x] (``derivative_closed_production``), built from those
+schoolbook pieces alone; moments by the Jacobi-matrix recurrence; Hankel
+determinants by Gaussian elimination over Fractions; J-fraction coefficients
+by determinant ratios and by peeling one level per series division;
+J-fraction expansions by one series division per level; triangular solves
+and matrix powers by schoolbook products; and so on.  The catalog's f and
+the inverse side's (Z, A) are stated in closed forms other than the ones the
+catalog computes.  The derivative-subgroup and checkerboard predicates and
+the reader of the CLI's JSON matrices live here too, since only the tests
+ask those questions.  The identity suites at the end are not oracles: they
+check factorizations of catalog arrays through the library's own group law
+and production routes.
 """
 
 from __future__ import annotations
@@ -34,14 +39,15 @@ from expriordan.series import Series, exp_series, one, pow_rational, series, x
 
 def lagrange_revert(f: Series) -> Series:
     """Compositional inverse by Lagrange inversion:
-    [x^n] fbar = (1/n) [x^{n-1}] (x/f(x))^n."""
+    [x^n] fbar = (1/n) [x^{n-1}] (x/f(x))^n, with x/f by long division and
+    its powers by the schoolbook product."""
     n = f.order
     assert f[0] == 0 and f[1] != 0
-    w = 1 / Series(f.coeffs[1:])  # (x/f), order n-1
+    w = div_by_long_division(one(n - 1), Series(f.coeffs[1:]))  # (x/f), order n-1
     out = [Fraction(0)] * (n + 1)
     p = one(n - 1)
     for m in range(1, n + 1):
-        p = p * w
+        p = naive_mul(p, w)
         out[m] = p[m - 1] / m
     return Series(tuple(out))
 
@@ -325,7 +331,41 @@ def za_by_definition(g: Series, f: Series) -> ZAPair:
     return ZAPair(z=z, a=a)
 
 
+def derivative_closed_production(f: Series) -> TriMatrix:
+    """The production matrix of [f', f] in closed form, U . [1/fbar', x]
+    (U the shift), as its leading (N-1)-square block: rows 1..N-1 of the
+    array [A, x], A = 1/fbar' = f'(fbar), with fbar by Lagrange inversion,
+    A by long division and the array by ``naive_build``."""
+    n = f.order
+    a = div_by_long_division(one(n - 1), lagrange_revert(f).derive())
+    return TriMatrix(tuple(row[: n - 1] for row in naive_build(a, x(n - 1))[1:]))
+
+
+def is_derivative_subgroup(a: ExpRiordan) -> bool:
+    """True when g equals f' exactly to order N-1."""
+    fp = a.f.derive()
+    return fp.agrees_to(a.g, fp.order)
+
+
+def is_checkerboard(a: ExpRiordan) -> bool:
+    """True when g is even and f is odd to order N."""
+    return not any(a.g.coeffs[1::2]) and not any(a.f.coeffs[0::2])
+
+
+def matrix_from_json(obj: dict) -> tuple[str, TriMatrix]:
+    """The (name, matrix) of ``matrix_to_json``'s output; the order field
+    must match the row count."""
+    m = TriMatrix(tuple(tuple(Fraction(v) for v in row) for row in obj["rows"]))
+    if m.dim - 1 != obj["order"]:
+        raise ValueError("order field disagrees with row count")
+    return obj.get("name", "matrix"), m
+
+
 # -- the f of each catalog pair, and the inverse side's (Z, A) --------------
+
+# The two entries that are not sigmoids: cos_sin lies in the derivative
+# subgroup, pascal = [e^x, x] does not.
+NON_SIGMOID_IDS = ("cos_sin", "pascal")
 
 
 def arctan_series(order: int) -> Series:

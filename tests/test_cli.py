@@ -6,18 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import hankel_formula
+from helpers import hankel_formula, matrix_from_json
 
 from expriordan import catalog
 from expriordan.cli import MAX_SAMPLES, main
 from expriordan.production import production_definitional
-from expriordan.riordan import (
-    build,
-    format_polynomial,
-    inverse,
-    matrix_from_json,
-    row_polynomials,
-)
+from expriordan.riordan import build, format_polynomial, inverse, row_polynomials
 
 
 def run(capsys, *argv):
@@ -417,6 +411,15 @@ LIBRARY_ERRORS = [
     (
         ("plotdata", "tanh", "--tmax", "inf", "--samples", "3"),
         "error: t_min and t_max must be finite\n",
+    ),
+    # So did a finite window whose width overflows.
+    (
+        ("plotdata", "tanh", "--tmin=-1e308", "--tmax", "1e308", "--samples", "3"),
+        "error: t_max - t_min must be finite\n",
+    ),
+    (
+        ("plotdata", "tanh", "--tmin=-1.7e308", "--tmax", "1.7e308", "--samples", "2"),
+        "error: t_max - t_min must be finite\n",
     ),
 ]
 

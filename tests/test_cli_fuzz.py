@@ -1,6 +1,7 @@
 """The CLI's contract on generated input, in-process: every call either exits
 0 with output that parses in its format, or exits 1 with one line on stderr.
-Sizes stay at most 8 and samples at most 50, so that no example is slow."""
+Plot data has no nan or inf field.  Sizes stay at most 8 and samples at
+most 50, so that no example is slow."""
 
 import csv
 import io
@@ -8,7 +9,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from expriordan import catalog
 from expriordan.cli import main
@@ -20,7 +21,12 @@ TERMS = st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "x", "1/0"
 # Half the specs start like a valid g (1, ...) or f (0, 1, ...).
 G_SPECS = st.one_of(TERMS, TERMS.map(lambda t: ["1", *t])).map(",".join)
 F_SPECS = st.one_of(TERMS, TERMS.map(lambda t: ["0", "1", *t])).map(",".join)
-BOUNDS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+# Half the bounds lie near the float range's ends, where t_max - t_min can
+# overflow though both bounds are finite.
+BOUNDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([8e307, -8e307, 1e308, -1e308, 1.7e308, -1.7e308]),
+).map(repr)
 # Now and then an option that the subcommand may reject.
 STRAY = st.sampled_from([()] * 9 + [("--order", "3"), ("--depth", "2"), ("--seq=1,0,1",)])
 
@@ -58,6 +64,12 @@ def argvs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(argvs())
+# Windows whose width overflows, which printed nan rows and exited 0.
+@example(["plotdata", "tanh", "--tmin=-1e308", "--tmax=1e308", "--samples", "3"])
+@example(
+    ["plotdata", "tanh", "--kind", "parametric"]
+    + ["--tmin=-1.7e308", "--tmax=1.7e308", "--samples", "2"]
+)
 def test_cli_exits_0_with_parseable_output_or_1_with_one_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -75,5 +87,7 @@ def test_cli_exits_0_with_parseable_output_or_1_with_one_line(argv):
         # `produce` appends its Jacobi line as a "#" comment.
         rows = [r for r in csv.reader(io.StringIO(out)) if not r[0].startswith("#")]
         assert len({len(r) for r in rows}) == 1
+        if argv[0] == "plotdata":
+            assert not {v.lstrip("-") for r in rows for v in r} & {"nan", "inf"}, out
     else:
         assert out.endswith("\n") and out.strip()

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from conftest import mixed_jets, mixed_rationals
 from helpers import (
+    derivative_closed_production,
     inverse_za_closed_form,
     power_first_row,
     production_analytic_by_entries,
@@ -16,7 +17,6 @@ from expriordan.catalog import ids, inverse_pair, pair, za_closed_form
 from expriordan.production import (
     JacobiParams,
     ZAPair,
-    derivative_production_check,
     production_analytic,
     production_definitional,
     tridiagonal_params,
@@ -123,10 +123,19 @@ def test_derivative_subgroup_closed_production(eid):
     # U . [1/fbar', x] equals the production matrix of [f', f].
     order = 10
     _, f = pair(eid, order)
-    closed = derivative_production_check(f)
     definitional = production_definitional(build(*pair(eid, order)))
-    block = order - 1
-    assert closed.leading(block) == definitional.leading(block)
+    assert derivative_closed_production(f) == definitional.leading(order - 1)
+
+
+@pytest.mark.parametrize("side", ["forward", "inverse"])
+@pytest.mark.parametrize("eid", ids())
+def test_z_is_a_prime_exactly_on_the_derivative_subgroup(eid, side):
+    # On [f', f], A = f'(fbar) and Z = f''(fbar)/f'(fbar), so Z = A'; the
+    # inverse of a subgroup array is again in the subgroup.
+    order = 14
+    za = za_sequences(*(pair if side == "forward" else inverse_pair)(eid, order))
+    z_is_a_prime = za.z.truncate(order - 2) == za.a.derive()
+    assert z_is_a_prime is (eid in DERIVATIVE_SUBGROUP_IDS)
 
 
 @pytest.mark.parametrize(

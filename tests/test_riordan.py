@@ -8,7 +8,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import mixed_jets, sigmoid_like
-from helpers import gd_series, naive_build, naive_mat_mul, random_riordan_pair
+from helpers import (
+    gd_series,
+    is_checkerboard,
+    is_derivative_subgroup,
+    matrix_from_json,
+    naive_build,
+    naive_mat_mul,
+    random_riordan_pair,
+)
 
 from expriordan.catalog import (
     arcsin_series,
@@ -18,20 +26,17 @@ from expriordan.catalog import (
     tanh_series,
 )
 from expriordan.riordan import (
+    TriMatrix,
     build,
     format_polynomial,
     from_rows,
     identity_matrix,
     inverse,
-    is_checkerboard,
-    is_derivative_subgroup,
     mat_inverse,
     mat_mul,
-    matrix_from_json,
     matrix_to_json,
     multiply,
     row_polynomials,
-    shift_apply,
     solve_lower,
 )
 from expriordan.series import Series, one, series, x
@@ -203,13 +208,6 @@ def test_mat_inverse_identity():
     assert mat_inverse(identity_matrix(5)) == identity_matrix(5)
 
 
-def test_shift_apply_of_identity_is_shift_matrix():
-    u = shift_apply(identity_matrix(5))
-    for i in range(5):
-        for j in range(5):
-            assert u.entry(i, j) == (1 if j == i + 1 else 0)
-
-
 def test_binomial_times_signed_binomial_is_identity():
     a = build(*pair("pascal", 7)).matrix
     b = inverse(build(*pair("pascal", 7))).matrix
@@ -217,7 +215,7 @@ def test_binomial_times_signed_binomial_is_identity():
 
 
 def test_mat_inverse_requires_triangular():
-    hess = shift_apply(identity_matrix(4))
+    hess = TriMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
     with pytest.raises(ValueError, match="lower-triangular"):
         mat_inverse(hess)
     with pytest.raises(ValueError, match="lower-triangular"):
@@ -373,6 +371,8 @@ def test_matrix_json_round_trip():
     name, back = matrix_from_json(json.loads(payload))
     assert name == "gompertz"
     assert back == m
+    with pytest.raises(ValueError, match="order field disagrees with row count"):
+        matrix_from_json({**json.loads(payload), "order": 5})
 
 
 def test_matrix_text_alignment():

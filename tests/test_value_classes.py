@@ -40,8 +40,8 @@ def _make(cls):
     e = catalog.entry("tanh")
     return CatalogEntry(
         id=e.id, g_label=e.g_label, f_label=e.f_label, notes=e.notes,
-        is_sigmoid=e.is_sigmoid, g_series=e.g_series, f_eval=e.f_eval,
-        fprime_eval=e.fprime_eval, jacobi=e.jacobi,
+        g_series=e.g_series, f_eval=e.f_eval, fprime_eval=e.fprime_eval,
+        jacobi=e.jacobi,
     )
 
 
@@ -54,9 +54,9 @@ FIELDS = {
     Recurrence: ("b", "lam"),
     SampleGrid: ("t_min", "t_max", "samples"),
     CatalogEntry: (
-        "id", "g_label", "f_label", "notes", "is_sigmoid", "g_series", "f_eval",
-        "fprime_eval", "f_series", "inverse_g", "inverse_f", "a_closed", "z_closed",
-        "jacobi", "inverse_jacobi",
+        "id", "g_label", "f_label", "notes", "g_series", "f_eval", "fprime_eval",
+        "f_series", "inverse_g", "inverse_f", "a_closed", "z_closed", "jacobi",
+        "inverse_jacobi",
     ),
 }
 CLASSES = list(FIELDS)
@@ -173,6 +173,7 @@ def test_reprs():
         (lambda: SampleGrid(t_max=float("-inf")), "t_min and t_max must be finite"),
         (lambda: SampleGrid(1.0, 1.0), "t_min must be strictly below t_max"),
         (lambda: SampleGrid(samples=1), "need at least two samples"),
+        (lambda: SampleGrid(-1e308, 1e308), "t_max - t_min must be finite"),
     ],
 )
 def test_validation_messages(make, message):

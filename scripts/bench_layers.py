@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_14.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_17.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
-At n = 16, 32 and 64 it times ``revert``, ``compose`` (f with its inverse),
+At n = 8, 16, 24, 32 and 64 it times ``revert``, ``compose`` (f with its inverse),
 ``build``, ``inverse``, ``za_sequences``, ``multiply``,
 ``production_definitional``, ``production_analytic`` (the (n-1)-square block
 from the (Z, A) pair), ``mat_inverse`` and ``mat_mul`` (of the array's matrix
@@ -31,7 +31,7 @@ five times, stopping once two seconds of calls are spent; the least wall
 time, which a busy machine can only raise, is recorded with the number of
 calls and the largest numerator or denominator bit-length in the result.  A
 start-up row is the least wall time of 20 processes; it has no order or
-bit-length.  The numbers go under ``runs[NAME]`` of BENCH_14.json at the
+bit-length.  The numbers go under ``runs[NAME]`` of BENCH_17.json at the
 repository root and other labels are kept, so the numbers of two source
 trees (say, a parent commit's ``src`` and this one's) sit side by side.
 """
@@ -53,7 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "algebraic"
 JACOBI_ENTRY = "tanh"
 EXP_ENTRY = "gompertz"
-ORDERS = (16, 32, 64)
+ORDERS = (8, 16, 24, 32, 64)
 PAIR_ORDERS = (24, 48, 128)
 REPEATS = 5
 BUDGET_S = 2.0
@@ -62,7 +62,7 @@ STARTUP = {
     "import expriordan.cli": ["-c", "import expriordan.cli"],
     "python -m expriordan list": ["-m", "expriordan", "list"],
 }
-OUT = ROOT / "BENCH_14.json"
+OUT = ROOT / "BENCH_17.json"
 
 
 def _fractions(obj) -> list:

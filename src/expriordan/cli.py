@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import isfinite, isinf
 
 from . import catalog, production
 from .riordan import (
@@ -229,8 +230,15 @@ def _cmd_plotdata(args) -> str:
         rows = catalog.sample_parametric(e, grid)
         header = "fprime,f"
     lines = [header]
-    lines += [",".join(f"{v:.15g}" for v in row) for row in rows]
+    lines += [",".join(map(_plot_field, row)) for row in rows]
     return "\n".join(lines)
+
+
+def _plot_field(v: float) -> str:
+    """v to 15 significant digits, or in full where that text would read
+    back as infinite (within about 5e293 of the float maximum)."""
+    text = f"{v:.15g}"
+    return repr(v) if isinf(float(text)) and isfinite(v) else text
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Production (Stieltjes) matrices of exponential Riordan arrays.
 
 Two independent routes are provided.  The definitional route solves
-``M . P = (M with its first row removed)`` by exact forward substitution.
-The analytic route builds P from the pair of sequences
+``M . P = (M with its first row removed)`` by exact forward substitution on
+integer rows (``riordan.solve_lower``).  The analytic route builds P from the
+pair of sequences
 
     A(x) = f'(fbar(x)) = 1/fbar'(x),    Z(x) = g'(fbar(x)) / g(fbar(x)),
 
 via ``P[n][k] = (n!/k!) z_{n-k} + (n!/(k-1)!) a_{n-k+1}``: the array
-``[Z, x]`` plus ``[A, x]`` moved one column right.  A tridiagonal
+``[Z, x]`` plus ``[A, x]`` moved one column right, each entry made once from
+the integers of Z and A over one denominator.  A tridiagonal
 production matrix is equivalent to the generating form
 ``e^{xy} (alpha + beta x + y (1 + gamma x + delta x^2))`` and is returned
 as :class:`JacobiParams`, the data of a monic three-term recurrence.
@@ -16,9 +18,10 @@ as :class:`JacobiParams`, the data of a monic three-term recurrence.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 
-from .riordan import ExpRiordan, TriMatrix, _realize, solve_lower
-from .series import Series, _Frozen
+from .riordan import ExpRiordan, TriMatrix, solve_lower
+from .series import Series, _Frozen, _scaled
 
 __all__ = [
     "ZAPair",
@@ -92,9 +95,25 @@ def production_analytic(za: ZAPair, dim: int) -> TriMatrix:
             f"dim {dim} needs z to order {dim - 1} and a to order {dim}, "
             f"have {za.z.order} and {za.a.order}"
         )
-    zs = _realize(za.z.coeffs, (0, 1), dim - 1)
-    a_s = _realize(za.a.coeffs, (0, 1), dim - 1)
-    return TriMatrix([[v + w if w else v for v, w in zip(zr, [0, *ar])] for zr, ar in zip(zs, a_s)])
+    # P[i][k] = (i!/k!) (z_(i-k) + k a_(i-k+1)) on the integers of Z and A
+    # over one denominator, and the superdiagonal is a_0.
+    zn, zd = _scaled(za.z.coeffs, dim - 1)
+    an, ad = _scaled(za.a.coeffs, dim)
+    d = lcm(zd, ad)
+    zn, an = [v * (d // zd) for v in zn], [v * (d // ad) for v in an]
+    facts = [factorial(i) for i in range(dim)]
+    zero = Fraction(0)
+    rows = []
+    for i in range(dim):
+        row = [zero] * dim
+        for k in range(i + 1):
+            v = zn[i - k] + k * an[i - k + 1]
+            if v:
+                row[k] = Fraction(facts[i] // facts[k] * v, d)
+        if i + 1 < dim:
+            row[i + 1] = za.a[0]
+        rows.append(row)
+    return TriMatrix(rows)
 
 
 def tridiagonal_params(p: TriMatrix) -> JacobiParams | None:

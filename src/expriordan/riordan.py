@@ -4,15 +4,22 @@ The array ``[g, f]`` built from series g (g(0)=1) and f (f(0)=0, f'(0)=1)
 has entries ``t[n][k] = (n!/k!) [x^n] g(x) f(x)^k``, read off the power table
 g (f/x)^k.  Arrays carry both the generating pair and the realized matrix;
 the group law is computed on the series side and the matrix side checks it.
+
+The matrix routines run on integer rows, as the series kernels do: each row
+becomes integer numerators over one denominator, a sum of rows times
+coefficients is one integer loop over the lcm of their denominators, and a
+Fraction is built once per output entry.  ``solve_lower`` is the only
+triangular solver; ``mat_inverse`` and the definitional production route
+call it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
-from .series import Series, _compose, _Frozen, _powers
+from .series import Series, _compose, _content_removed, _Frozen, _powers, _scaled
 
 __all__ = [
     "TriMatrix",
@@ -48,7 +55,7 @@ class TriMatrix(_Frozen):
         if dim == 0 or any(len(row) != dim for row in rows):
             raise ValueError("matrix must be square and non-empty")
         for i, row in enumerate(rows):
-            if any(v != 0 for v in row[i + 2 :]):
+            if any(row[i + 2 :]):
                 raise ValueError(f"row {i} has entries above the superdiagonal")
         object.__setattr__(self, "rows", rows)
 
@@ -105,38 +112,54 @@ def identity_matrix(dim: int) -> TriMatrix:
     )
 
 
-def _combine_rows(
-    coeffs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]], out: list[Fraction]
-) -> list[Fraction]:
-    """Add sum_k coeffs[k] * rows[k] into ``out`` and return it, for rows
-    that are zero beyond the first superdiagonal (row k ends at column k+1)."""
-    width = len(out)
-    for k, c in enumerate(coeffs):
-        if c:
-            row = rows[k]
-            for j in range(min(k + 2, width)):
-                if row[j]:
-                    out[j] += c * row[j]
-    return out
+def _int_rows(m: TriMatrix) -> list[tuple[list[int], int]]:
+    """Each row through the superdiagonal as integer numerators over one
+    denominator.  The entries are normalized, so the rows are content-free."""
+    last = m.dim - 1
+    return [_scaled(row, min(i + 1, last)) for i, row in enumerate(m.rows)]
+
+
+def _combine(terms: list[tuple[int, tuple[list[int], int]]], width: int) -> tuple[list[int], int]:
+    """sum_t c_t * r_t / d_t for integers c_t and integer rows r_t over d_t,
+    each at most ``width`` long, as integer numerators over m = lcm(d_t)."""
+    m = lcm(*(d for _, (_, d) in terms))
+    out = [0] * width
+    for c, (r, d) in terms:
+        s = c * (m // d)
+        for j, v in enumerate(r):
+            if v:
+                out[j] += s * v
+    return out, m
+
+
+def _fractions(r: list[int], d: int, width: int) -> tuple[Fraction, ...]:
+    """The row r / d as Fractions, zero-padded to ``width``; d > 0."""
+    zero = Fraction(0)
+    return (*(Fraction(v, d) if v else zero for v in r), *(zero,) * (width - len(r)))
 
 
 def mat_mul(a: TriMatrix, b: TriMatrix) -> TriMatrix:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    zero = Fraction(0)
-    return TriMatrix(
-        tuple(tuple(_combine_rows(row, b.rows, [zero] * a.dim)) for row in a.rows)
-    )
+    dim = a.dim
+    b_rows = _int_rows(b)
+    rows = []
+    for an, ad in _int_rows(a):
+        # row i of a . b = sum_k (an_k / ad) b_k
+        r, m = _combine([(c, b_rows[k]) for k, c in enumerate(an) if c], dim)
+        rows.append(_fractions(r, m * ad, dim))
+    return TriMatrix(rows)
 
 
 def solve_lower(
     a: TriMatrix, b: Sequence[Sequence[Fraction]]
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of X with a . X = b, by forward substitution.
+    """The rows of X with a . X = b, by forward substitution on integer rows.
 
     ``a`` is lower-triangular with a nonzero diagonal; ``b`` has one row per
     row of ``a``, all of one width and zero beyond the first superdiagonal,
-    and so has X.
+    and so has X.  Each row of X is kept as integer numerators over its own
+    denominator, content removed, and becomes Fractions once, at the end.
     """
     if not a.is_lower_triangular():
         raise ValueError("forward substitution requires a lower-triangular matrix")
@@ -151,13 +174,19 @@ def solve_lower(
             raise ValueError(
                 f"right-hand side row {i} is ragged or has entries above the superdiagonal"
             )
-    xs: list[tuple[Fraction, ...]] = []
+    xs: list[tuple[list[int], int]] = []
     for i, arow in enumerate(a.rows):
-        # x_i = (b_i - sum_{k<i} a_ik x_k) / a_ii
-        row = _combine_rows([-c for c in arow[:i]], xs, list(b[i]))
-        d = arow[i]
-        xs.append(tuple(row) if d == 1 else tuple(v / d for v in row))
-    return tuple(xs)
+        # With a's row an / ad, x_i = (b_i - sum_{k<i} a_ik x_k) / a_ii is
+        # (ad b_i - sum_k an_k x_k) / an_i: one combination over lcm(bd, xd_k).
+        an, ad = _scaled(arow, i)
+        terms = [(ad, _scaled(b[i], min(i + 1, width - 1)))]
+        terms += [(-c, xs[k]) for k, c in enumerate(an[:i]) if c]
+        r, m = _combine(terms, min(i + 2, width))
+        d = m * an[i]
+        if d < 0:
+            r, d = [-v for v in r], -d
+        xs.append(_content_removed(r, d))
+    return tuple(_fractions(r, d, width) for r, d in xs)
 
 
 def mat_inverse(a: TriMatrix) -> TriMatrix:

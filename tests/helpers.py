@@ -8,14 +8,16 @@ by the ordinary-coefficient recurrence and log by long division and
 integration, where the library runs both on one integer recurrence in EGF
 coordinates; arrays, composition and the analytic production matrix by
 schoolbook loops over Fractions rather than the library's table of series
-powers; the derivative subgroup's production matrix by its closed form
-U . [1/fbar', x] (``derivative_closed_production``), built from those
-schoolbook pieces alone; moments by the Jacobi-matrix recurrence; Hankel
-determinants by Gaussian elimination over Fractions; J-fraction coefficients
-by determinant ratios and by peeling one level per series division;
-J-fraction expansions by one series division per level; triangular solves
-and matrix powers by schoolbook products; and so on.  The catalog's f and
-the inverse side's (Z, A) are stated in closed forms other than the ones the
+powers; the (Z, A) pair by its definition, over Lagrange inversion,
+schoolbook composition and long division; the derivative subgroup's
+production matrix by its closed form U . [1/fbar', x]
+(``derivative_closed_production``), built from those schoolbook pieces
+alone; moments by the Jacobi-matrix recurrence; Hankel determinants by
+Gaussian elimination over Fractions; J-fraction coefficients by determinant
+ratios and by peeling one level per series division; J-fraction expansions
+by one series division per level; matrix products, triangular solves and
+matrix powers by schoolbook products; and so on.  The catalog's f and the
+inverse side's (Z, A) are stated in closed forms other than the ones the
 catalog computes.  The derivative-subgroup and checkerboard predicates and
 the reader of the CLI's JSON matrices live here too, since only the tests
 ask those questions.  The identity suites at the end are not oracles: they
@@ -323,11 +325,14 @@ def production_analytic_by_entries(za: ZAPair, dim: int) -> TriMatrix:
 
 def za_by_definition(g: Series, f: Series) -> ZAPair:
     """A = f'(fbar) and Z = g'(fbar)/g(fbar) at order N-1, with fbar by
-    Lagrange inversion and each composition by ``naive_compose``."""
+    Lagrange inversion, each composition by ``naive_compose`` and the
+    quotient by ``div_by_long_division``."""
     n = f.order
     fbar = lagrange_revert(f).truncate(n - 1)
     a = naive_compose(f.derive(), fbar)
-    z = naive_compose(g.derive(), fbar) / naive_compose(g.truncate(n - 1), fbar)
+    z = div_by_long_division(
+        naive_compose(g.derive(), fbar), naive_compose(g.truncate(n - 1), fbar)
+    )
     return ZAPair(z=z, a=a)
 
 

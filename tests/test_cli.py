@@ -309,10 +309,15 @@ def test_plotdata_algebraic_far_out(capsys):
             ("tanh", "--tmin=-1e100", "--tmax=-355"),
             ["-1e+100,-1,0", "-355,-1,1.79051449027005e-308"],
         ),
+        # At 15 digits this t reads -1.79769313486232e+308, which parses as -inf.
+        (
+            ("tanh", "--tmin=-1.7976931348623151e+308", "--tmax=0"),
+            ["-1.7976931348623151e+308,-1,0", "0,0,1"],
+        ),
     ],
     ids=[
         "tanh", "tanh_negative", "tanh2", "gudermann", "gudermann_negative", "quartic",
-        "quartic_negative", "gompertz_negative", "tanh_far_window",
+        "quartic_negative", "gompertz_negative", "tanh_far_window", "tanh_near_float_max",
     ],
 )
 def test_plotdata_far_out(capsys, argv, rows):

@@ -1,12 +1,13 @@
 """The CLI's contract on generated input, in-process: every call either exits
 0 with output that parses in its format, or exits 1 with one line on stderr.
-Plot data has no nan or inf field.  Sizes stay at most 8 and samples at
-most 50, so that no example is slow."""
+Every plot data field parses back as a finite float.  Sizes stay at most 8
+and samples at most 50, so that no example is slow."""
 
 import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from math import isfinite
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
@@ -70,6 +71,8 @@ def argvs(draw):
     ["plotdata", "tanh", "--kind", "parametric"]
     + ["--tmin=-1.7e308", "--tmax=1.7e308", "--samples", "2"]
 )
+# A t whose 15-digit text reads back as -inf.
+@example(["plotdata", "tanh", "--tmin=-1.7976931348623151e+308", "--tmax=0", "--samples", "2"])
 def test_cli_exits_0_with_parseable_output_or_1_with_one_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -88,6 +91,6 @@ def test_cli_exits_0_with_parseable_output_or_1_with_one_line(argv):
         rows = [r for r in csv.reader(io.StringIO(out)) if not r[0].startswith("#")]
         assert len({len(r) for r in rows}) == 1
         if argv[0] == "plotdata":
-            assert not {v.lstrip("-") for r in rows for v in r} & {"nan", "inf"}, out
+            assert all(isfinite(float(v)) for r in rows[1:] for v in r), out
     else:
         assert out.endswith("\n") and out.strip()

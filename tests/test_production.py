@@ -109,6 +109,16 @@ def test_za_sequences_match_definition(data, order):
     assert (za.z.coeffs, za.a.coeffs) == (want.z.coeffs, want.a.coeffs)
 
 
+@given(data=st.data(), order=st.integers(min_value=2, max_value=9))
+@settings(max_examples=40, deadline=None)
+def test_definitional_production_matches_definition(data, order):
+    g = data.draw(mixed_jets(order, (F(1),)))
+    f = data.draw(mixed_jets(order, (F(0), F(1))))
+    definitional = production_definitional(build(g, f))
+    want = production_analytic_by_entries(za_by_definition(g, f), order - 1)
+    assert definitional.leading(order - 1) == want
+
+
 @pytest.mark.parametrize("eid", ids())
 def test_dual_route_production_agrees(eid):
     order = 10

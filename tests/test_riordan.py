@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import mixed_jets, sigmoid_like
+from conftest import mixed_jets, mixed_rationals, sigmoid_like
 from helpers import (
     gd_series,
     is_checkerboard,
@@ -246,18 +246,18 @@ _entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 @st.composite
 def _lower_systems(draw):
     """A lower-triangular a with nonzero, non-unit diagonal and a
-    lower-Hessenberg b of width dim, or of width 1."""
+    lower-Hessenberg b of width dim, or of width 1.  A row of a may be zero
+    off the diagonal, and a row of b zero throughout."""
     dim = draw(st.integers(1, 8))
     diag = _entries.filter(lambda v: v not in (0, 1))
-    a = [
-        [draw(_entries) for _ in range(i)] + [draw(diag)] + [F(0)] * (dim - i - 1)
-        for i in range(dim)
-    ]
+
+    def row(width, last):
+        zero = draw(st.booleans())
+        return [draw(_entries) if j <= last and not zero else F(0) for j in range(width)]
+
+    a = [row(i, i) + [draw(diag)] + [F(0)] * (dim - i - 1) for i in range(dim)]
     width = draw(st.sampled_from((1, dim)))
-    b = [
-        [draw(_entries) if j <= i + 1 else F(0) for j in range(width)]
-        for i in range(dim)
-    ]
+    b = [row(width, i + 1) for i in range(dim)]
     return a, b
 
 
@@ -269,6 +269,30 @@ def test_solve_lower_matches_naive_product(system):
     assert naive_mat_mul(a, xs) == b
     for i, row in enumerate(xs):
         assert not any(row[i + 2 :])
+
+
+@st.composite
+def _band_rows(draw, dim, hessenberg):
+    """A lower-triangular or lower-Hessenberg matrix whose entries are often
+    zero or negative."""
+    last = 1 if hessenberg else 0
+    return [
+        [draw(mixed_rationals) if j <= i + last else F(0) for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+@given(data=st.data(), dim=st.integers(1, 9), shape=st.sampled_from(["LH", "HL", "LL", "HH"]))
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_matches_naive_product(data, dim, shape):
+    a, b = (data.draw(_band_rows(dim, side == "H")) for side in shape)
+    want = naive_mat_mul(a, b)
+    if any(any(row[i + 2 :]) for i, row in enumerate(want)):
+        # Only a Hessenberg-by-Hessenberg product can leave the band.
+        with pytest.raises(ValueError, match="above the superdiagonal"):
+            mat_mul(TriMatrix(a), TriMatrix(b))
+    else:
+        assert [list(row) for row in mat_mul(TriMatrix(a), TriMatrix(b)).rows] == want
 
 
 def test_band_violation_rejected():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_17.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_18.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
@@ -7,7 +7,10 @@ At n = 8, 16, 24, 32 and 64 it times ``revert``, ``compose`` (f with its inverse
 ``build``, ``inverse``, ``za_sequences``, ``multiply``,
 ``production_definitional``, ``production_analytic`` (the (n-1)-square block
 from the (Z, A) pair), ``mat_inverse`` and ``mat_mul`` (of the array's matrix
-with itself) on the catalog entry ``algebraic``.  On the ``tanh`` entry's
+with itself) on the catalog entry ``algebraic``, whose odd f and even g make
+power tables in x^2.  It times ``revert``, ``build``, ``inverse``,
+``multiply`` and ``za_sequences`` on ``gompertz`` too, whose f and g have
+terms at every exponent, so its tables stay in x.  On the ``tanh`` entry's
 Jacobi recurrence it times ``coefficient_array`` of degree n, ``moments``
 m_0..m_n, ``cf_to_ogf`` at depth n and order 2n, and ``hankel_transform``
 h_0..h_{n/2} and ``jfraction`` at depth n/2 of those moments.  On the EGFs
@@ -31,7 +34,7 @@ five times, stopping once two seconds of calls are spent; the least wall
 time, which a busy machine can only raise, is recorded with the number of
 calls and the largest numerator or denominator bit-length in the result.  A
 start-up row is the least wall time of 20 processes; it has no order or
-bit-length.  The numbers go under ``runs[NAME]`` of BENCH_17.json at the
+bit-length.  The numbers go under ``runs[NAME]`` of BENCH_18.json at the
 repository root and other labels are kept, so the numbers of two source
 trees (say, a parent commit's ``src`` and this one's) sit side by side.
 """
@@ -62,7 +65,7 @@ STARTUP = {
     "import expriordan.cli": ["-c", "import expriordan.cli"],
     "python -m expriordan list": ["-m", "expriordan", "list"],
 }
-OUT = ROOT / "BENCH_17.json"
+OUT = ROOT / "BENCH_18.json"
 
 
 def _fractions(obj) -> list:
@@ -119,6 +122,8 @@ def measure() -> list[dict]:
     for n in ORDERS:
         g, f = catalog.pair(ENTRY, n)
         arr = riordan.build(g, f)
+        dense_g, dense_f = catalog.pair(EXP_ENTRY, n)
+        dense = riordan.build(dense_g, dense_f)
         fbar = f.revert()
         za = production.za_sequences(g, f)
         rec = orthopoly.recurrence_from_jacobi(catalog.entry(JACOBI_ENTRY).jacobi, n)
@@ -140,6 +145,11 @@ def measure() -> list[dict]:
             ("production_analytic", ENTRY, lambda: production.production_analytic(za, n - 1)),
             ("mat_inverse", ENTRY, lambda: riordan.mat_inverse(arr.matrix)),
             ("mat_mul", ENTRY, lambda: riordan.mat_mul(arr.matrix, arr.matrix)),
+            ("revert", EXP_ENTRY, lambda: dense_f.revert()),
+            ("build", EXP_ENTRY, lambda: riordan.build(dense_g, dense_f)),
+            ("inverse", EXP_ENTRY, lambda: riordan.inverse(dense)),
+            ("multiply", EXP_ENTRY, lambda: riordan.multiply(dense, dense)),
+            ("za_sequences", EXP_ENTRY, lambda: production.za_sequences(dense_g, dense_f)),
             ("coefficient_array", JACOBI_ENTRY, lambda: orthopoly.coefficient_array(rec, n)),
             ("moments", JACOBI_ENTRY, lambda: orthopoly.moments(rec, n)),
             ("cf_to_ogf", JACOBI_ENTRY, lambda: orthopoly.cf_to_ogf(rec, 2 * n, n)),

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .riordan import ExpRiordan, TriMatrix, solve_lower
-from .series import Series, _Frozen, _scaled
+from .series import Series, _Frozen, _revert_compose, _scaled
 
 __all__ = [
     "ZAPair",
@@ -81,8 +81,7 @@ def za_sequences(g: Series, f: Series) -> ZAPair:
     """A = f'(fbar), Z = g'(fbar)/g(fbar); the results have order N-1."""
     if g.order != f.order:
         raise ValueError(f"order mismatch: {g.order} != {f.order}")
-    fbar = f.revert()
-    g_fbar = g.compose(fbar)
+    fbar, g_fbar = _revert_compose(g, f)
     a = 1 / fbar.derive()  # = f'(fbar), and (g(fbar))' = fbar' g'(fbar)
     z = a * g_fbar.derive() / g_fbar.truncate(g.order - 1)
     return ZAPair(z=z, a=a)
@@ -90,17 +89,18 @@ def za_sequences(g: Series, f: Series) -> ZAPair:
 
 def production_analytic(za: ZAPair, dim: int) -> TriMatrix:
     """The dim-by-dim block of the matrix with generating form e^{xy}(Z + yA)."""
-    if dim - 1 > za.z.order or dim > za.a.order:
+    if dim - 1 > min(za.z.order, za.a.order):
         raise ValueError(
-            f"dim {dim} needs z to order {dim - 1} and a to order {dim}, "
+            f"dim {dim} needs z to order {dim - 1} and a to order {dim - 1}, "
             f"have {za.z.order} and {za.a.order}"
         )
     # P[i][k] = (i!/k!) (z_(i-k) + k a_(i-k+1)) on the integers of Z and A
-    # over one denominator, and the superdiagonal is a_0.
+    # over one denominator, and the superdiagonal is a_0.  a_dim appears only
+    # in column 0, times k = 0, so a is read through a_(dim-1) and padded.
     zn, zd = _scaled(za.z.coeffs, dim - 1)
-    an, ad = _scaled(za.a.coeffs, dim)
+    an, ad = _scaled(za.a.coeffs, dim - 1)
     d = lcm(zd, ad)
-    zn, an = [v * (d // zd) for v in zn], [v * (d // ad) for v in an]
+    zn, an = [v * (d // zd) for v in zn], [v * (d // ad) for v in an] + [0]
     facts = [factorial(i) for i in range(dim)]
     zero = Fraction(0)
     rows = []
@@ -120,8 +120,9 @@ def tridiagonal_params(p: TriMatrix) -> JacobiParams | None:
     """Extract (alpha, beta, gamma, delta) when P fits the tridiagonal form.
 
     alpha = P[0][0], beta = P[1][0], gamma = P[1][1] - alpha,
-    delta = P[2][1]/2 - beta; every entry of P is then re-checked against
-    the b_k / lambda_k formulas and any mismatch yields None.
+    delta = P[2][1]/2 - beta; every row of P is then re-checked against
+    the b_k / lambda_k formulas, 1 on the superdiagonal and 0 elsewhere, and
+    any mismatch yields None.
     """
     if p.dim < 3:
         raise ValueError("need at least a 3x3 block to extract parameters")
@@ -130,17 +131,12 @@ def tridiagonal_params(p: TriMatrix) -> JacobiParams | None:
     gamma = p.entry(1, 1) - alpha
     delta = p.entry(2, 1) / 2 - beta
     params = JacobiParams(alpha, beta, gamma, delta)
-    for n in range(p.dim):
-        for k in range(p.dim):
-            v = p.entry(n, k)
-            if k == n:
-                expect = params.diagonal(n)
-            elif k == n - 1:
-                expect = params.subdiagonal(n)
-            elif k == n + 1:
-                expect = Fraction(1)
-            else:
-                expect = Fraction(0)
-            if v != expect:
-                return None
+    # Above the superdiagonal, TriMatrix's band check already holds.
+    for n, row in enumerate(p.rows):
+        if row[n] != params.diagonal(n) or any(row[: max(n - 1, 0)]):
+            return None
+        if n > 0 and row[n - 1] != params.subdiagonal(n):
+            return None
+        if n + 1 < p.dim and row[n + 1] != 1:
+            return None
     return params

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Sequence
 
-from .series import Series, _compose, _content_removed, _Frozen, _powers, _scaled
+from .series import Series, _compose, _content_removed, _Frozen, _powers, _revert_compose, _scaled
 
 __all__ = [
     "TriMatrix",
@@ -243,8 +243,10 @@ def _realize(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[list[
     """Rows of the (n+1)-square block t[i][k] = (i!/k!) [x^(i-k)] g (f/x)^k."""
     facts = [factorial(i) for i in range(n + 1)]
     rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for k, (r, d) in enumerate(_powers(g, f, n)):
-        for i, v in enumerate(r, k):
+    s, table = _powers(g, f, n)
+    for k, (r, d) in enumerate(table):
+        # row k of the table holds the terms of x^(i-k) for i = k, k + s, ...
+        for i, v in zip(range(k, n + 1, s), r):
             rows[i][k] = Fraction(facts[i] // facts[k] * v, d)
     return rows
 
@@ -254,15 +256,15 @@ def multiply(a: ExpRiordan, b: ExpRiordan) -> ExpRiordan:
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
     n = a.order
-    rows = _powers([1], a.f.coeffs, n)  # one power table for both compositions
-    u, v = (Series(tuple(_compose(s.coeffs, rows, n))) for s in (b.g, b.f))
+    table = _powers([1], a.f.coeffs, n)  # one power table for both compositions
+    u, v = (Series(tuple(_compose(s.coeffs, table, n))) for s in (b.g, b.f))
     return build(a.g * u, v)
 
 
 def _inverse_pair(g: Series, f: Series) -> tuple[Series, Series]:
     """The pair (1/g(fbar), fbar) of [g, f]^-1, fbar = f.revert(), with no matrix."""
-    fbar = f.revert()
-    return 1 / g.compose(fbar), fbar
+    fbar, g_fbar = _revert_compose(g, f)
+    return 1 / g_fbar, fbar
 
 
 def inverse(a: ExpRiordan) -> ExpRiordan:

@@ -6,8 +6,13 @@ exact and there is no floating point in this module.  The coefficients are
 normalized :class:`fractions.Fraction` values; inside the kernels each
 operand becomes integer numerators over one common denominator, and the
 result is normalized once at the end.  Composition and the columns of an
-exponential Riordan array read one table of powers (f/x)^k.  Reversion is
-Newton iteration that doubles its working order and checks f(g) = x exactly.
+exponential Riordan array read one table of powers g (f/x)^k.  Its rows are
+series in y = x^s, for s the gcd of the exponents of the nonzero terms of g
+and f/x, and keep only the coefficients of x^(js): an odd f with an even g
+has s = 2 and a quarter of the row products.  Reversion is Newton iteration
+that doubles its working order and checks f(g) = x exactly; it hands on the
+power table of g that check read, so g can be composed into another series
+without a second table.
 exp and log are one integer recurrence in exponential coordinates, E' = u'E,
 solved for E by exp and for u by log.  Division takes whichever coordinates
 keep its integers smaller, per call: long division on OGF numerators, which
@@ -38,6 +43,7 @@ Series((1, 0, -1, 0, 0))
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -137,34 +143,44 @@ def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
     return [Fraction(v * bd, d) for v in t]
 
 
-def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[tuple[list[int], int]]:
-    """Rows k = 0..n of g*(f/x)^k through x^(n-k), each as integer numerators
-    over a denominator, content removed; f[0] must be 0.  Row k times x^k is
-    g*f^k through x^n: column k of [g, f], and term k of a composition."""
+# A power table (s, rows) from _powers: rows of integers in y = x^s.
+_Table = tuple[int, list[tuple[list[int], int]]]
+
+
+def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> _Table:
+    """The power table (s, rows): rows k = 0..n of g*(f/x)^k through x^(n-k),
+    each as integer numerators over a denominator, content removed; f[0]
+    must be 0.  Row k times x^k is g*f^k through x^n: column k of [g, f], and
+    term k of a composition.  s is the gcd of the exponents of the nonzero
+    terms of g and f/x (1 when there are none), so every row is a series in
+    y = x^s, and row k holds only its coefficients of x^(js), j = 0..(n-k)//s.
+    An odd f with an even g has s = 2, and each product costs a quarter."""
     fn, fd = _scaled(f[1:], min(len(f), n + 1) - 2)  # unpadded: f = x costs O(n^2)
     r, d = _scaled(g, n)
+    s = gcd(*compress(count(), r), *compress(count(), fn)) or 1
+    r, fn = r[::s], fn[::s]
     rows = []
     for k in range(n + 1):
         r, d = _content_removed(r, d)
         rows.append((r, d))
-        r, d = _conv(r, fn, n - k - 1), d * fd
-    return rows
+        r, d = _conv(r, fn, (n - k - 1) // s), d * fd
+    return s, rows
 
 
-def _compose(
-    outer: Sequence[Fraction], rows: list[tuple[list[int], int]], n: int
-) -> list[Fraction]:
-    """outer(inner) through x^n, from rows = _powers([1], inner, m) with m >= n:
-    sum_k outer_k x^k (inner/x)^k, each row cut at x^(n-k).  As inner[0] == 0,
-    outer above x^n adds nothing."""
+def _compose(outer: Sequence[Fraction], table: _Table, n: int) -> list[Fraction]:
+    """outer(inner) through x^n, from table = _powers([1], inner, m) with
+    m >= n: sum_k outer_k x^k (inner/x)^k, each row cut at x^(n-k), rows with
+    outer_k = 0 skipped.  As inner[0] == 0, outer above x^n adds nothing."""
+    s, rows = table
     on, od = _scaled(outer, n)
-    rows = rows[: n + 1]
-    d = lcm(*(dk for _, dk in rows))
+    d = lcm(*(rows[k][1] for k, c in enumerate(on) if c))
     out = [0] * (n + 1)
-    for k, (r, dk) in enumerate(rows):
-        c = on[k] * (d // dk)
-        for j, v in enumerate(r[: n + 1 - k], k):
-            out[j] += c * v
+    for k, c in enumerate(on):
+        if c:
+            r, dk = rows[k]
+            c *= d // dk
+            for j, v in zip(range(k, n + 1, s), r):
+                out[j] += c * v
     return [Fraction(v, d * od) for v in out]
 
 
@@ -231,27 +247,35 @@ def _exp_log(s: Sequence[Fraction], log: bool) -> list[Fraction]:
     return _egf_unscaled(xs if log else ys, d)
 
 
-def _revert(f: Sequence[Fraction], n: int) -> list[Fraction]:
+def _revert(f: Sequence[Fraction], n: int) -> tuple[list[Fraction], _Table]:
+    """The compositional inverse g of the order-n jet f, and the power table
+    _powers([1], g, n) on which f(g) = x was checked, for composing with g."""
+    if f[0] != 0:
+        raise ValueError("reversion requires a zero constant term")
+    if n < 1 or f[1] == 0:
+        raise ValueError("reversion requires an invertible linear coefficient")
     # Newton iteration g <- g - (f(g) - x)/f'(g), quadratic in the x-adic
     # metric: a g exact to order m is exact to order 2m + 1 after one step,
     # so the working order doubles, 1 -> ... -> n >> 1 -> n.  The residual
-    # f(g) - x must vanish exactly at order n before g is returned.
+    # f(g) - x must vanish exactly at order n before g or its table is
+    # returned.
     fp = _derive(f)
     g = [Fraction(0), 1 / f[1]]
     m = 1
     for top in [n >> i for i in range(n.bit_length() - 2, -1, -1)]:
         # f(g) - x vanishes through x^m, so f'(g) is needed only to order
         # top - m - 1; both compositions read one power table of g.
-        rows = _powers([1], g, top)
+        table = _powers([1], g, top)
         low = top - m - 1
-        corr = _div(_compose(f, rows, top)[m + 1 :], _compose(fp, rows, low), low)
+        corr = _div(_compose(f, table, top)[m + 1 :], _compose(fp, table, low), low)
         g = g[: m + 1] + [-c for c in corr]
         m = top
-    err = _compose(f, _powers([1], g, n), n)
+    table = _powers([1], g, n)
+    err = _compose(f, table, n)
     err[1] -= 1
     if any(err):
         raise ArithmeticError("Newton reversion failed to converge")
-    return g
+    return g, table
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +444,7 @@ class Series(_Frozen):
 
     def revert(self) -> "Series":
         """Compositional inverse: g with self(g(x)) = g(self(x)) = x."""
-        if self.coeffs[0] != 0:
-            raise ValueError("reversion requires a zero constant term")
-        if self.order < 1 or self.coeffs[1] == 0:
-            raise ValueError("reversion requires an invertible linear coefficient")
-        return Series(tuple(_revert(self.coeffs, self.order)))
+        return Series(tuple(_revert(self.coeffs, self.order)[0]))
 
     def derive(self) -> "Series":
         """Formal derivative; the order drops by one."""
@@ -450,6 +470,13 @@ class Series(_Frozen):
     def egf(self) -> tuple[Fraction, ...]:
         """Exponential-coefficient view: n-th entry is n! * c_n."""
         return tuple(factorial(n) * c for n, c in enumerate(self.coeffs))
+
+
+def _revert_compose(g: Series, f: Series) -> tuple[Series, Series]:
+    """(fbar, g(fbar)) for fbar = f.revert(), composing g through the power
+    table of fbar on which reversion checked f(fbar) = x."""
+    fbar, table = _revert(f.coeffs, f.order)
+    return Series(tuple(fbar)), Series(tuple(_compose(g.coeffs, table, f.order)))
 
 
 # ---------------------------------------------------------------------------

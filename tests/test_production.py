@@ -115,8 +115,7 @@ def test_definitional_production_matches_definition(data, order):
     g = data.draw(mixed_jets(order, (F(1),)))
     f = data.draw(mixed_jets(order, (F(0), F(1))))
     definitional = production_definitional(build(g, f))
-    want = production_analytic_by_entries(za_by_definition(g, f), order - 1)
-    assert definitional.leading(order - 1) == want
+    assert definitional == production_analytic_by_entries(za_by_definition(g, f), order)
 
 
 @pytest.mark.parametrize("eid", ids())
@@ -124,8 +123,7 @@ def test_dual_route_production_agrees(eid):
     order = 10
     g, f = pair(eid, order)
     definitional = production_definitional(build(*pair(eid, order)))
-    analytic = production_analytic(za_sequences(g, f), order - 1)
-    assert definitional.leading(order - 1) == analytic
+    assert production_analytic(za_sequences(g, f), order) == definitional
 
 
 @pytest.mark.parametrize("eid", DERIVATIVE_SUBGROUP_IDS)
@@ -192,13 +190,16 @@ def test_tanh_params_give_recurrence_coefficients():
 
 
 def test_tridiagonal_params_verifies_whole_matrix():
-    # A matrix that fits (alpha, beta) at the corner but breaks deeper in.
+    # A matrix that fits (alpha, beta) at the corner but breaks deeper in:
+    # on the subdiagonal, the diagonal, the superdiagonal, below the band,
+    # and in the last row.
     p = production_definitional(build(*pair("tanh", 8)))
-    rows = [list(r) for r in p.rows]
-    rows[4][3] += 1
     from expriordan.riordan import TriMatrix
 
-    assert tridiagonal_params(TriMatrix(tuple(tuple(r) for r in rows))) is None
+    for i, k in [(4, 3), (5, 5), (3, 4), (6, 2), (7, 0), (7, 6)]:
+        rows = [list(r) for r in p.rows]
+        rows[i][k] += 1
+        assert tridiagonal_params(TriMatrix(tuple(tuple(r) for r in rows))) is None
 
 
 def test_generation_property():

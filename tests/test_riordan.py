@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +9,16 @@ import hypothesis.strategies as st
 
 from conftest import mixed_jets, mixed_rationals, sigmoid_like
 from helpers import (
+    div_by_long_division,
     gd_series,
     is_checkerboard,
     is_derivative_subgroup,
+    lagrange_revert,
     matrix_from_json,
     naive_build,
+    naive_compose,
     naive_mat_mul,
+    naive_mul,
     random_riordan_pair,
 )
 
@@ -39,7 +43,7 @@ from expriordan.riordan import (
     row_polynomials,
     solve_lower,
 )
-from expriordan.series import Series, one, series, x
+from expriordan.series import Series, _powers, one, series, x
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +60,46 @@ def test_build_matches_naive_oracle(data, order):
             build(g, f)
         return
     assert [list(row) for row in build(g, f).matrix.rows] == naive_build(g, f)
+
+
+# Planted strides of g and f/x; "x" makes f = x.  The power table works in
+# y = x^s for s the gcd of the exponents it sees, which the mixed pairs and
+# zero draws make differ from either planted stride.
+_STRIDES = [(1, 1), (2, 2), (3, 3), (4, 4), (1, 2), (2, 1), (1, "x"), (2, "x"), (3, "x")]
+
+
+@st.composite
+def _strided_pair(draw, order: int):
+    """(g, f, s): g(0) = 1 and f = x h with h(0) = 1, where g is a series in
+    x^sg and h in x^sf, and s = gcd(sg, sf) (sg when f = x)."""
+    sg, sf = draw(st.sampled_from(_STRIDES))
+
+    def jet(n: int, stride: int) -> tuple:
+        tail = (draw(mixed_rationals) if j % stride == 0 else F(0) for j in range(1, n + 1))
+        return (F(1), *tail)
+
+    g = Series(jet(order, sg))
+    h = (F(1),) + (F(0),) * (order - 1) if sf == "x" else jet(order - 1, sf)
+    return g, Series((F(0), *h)[: order + 1]), sg if sf == "x" else gcd(sg, sf)
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_strided_power_tables_match_naive_oracles(data, order):
+    (g, f, s), (u, v, _) = data.draw(_strided_pair(order)), data.draw(_strided_pair(order))
+    found = _powers(g.coeffs, f.coeffs, order)[0]
+    assert found % s == 0 or found == 1 and not any(g[1:]) and not any(f[2:])
+    assert g.compose(f) == naive_compose(g, f)
+    if order == 0:
+        return
+    a = build(g, f)
+    assert [list(row) for row in a.matrix.rows] == naive_build(g, f)
+    ab = multiply(a, build(u, v))
+    assert (ab.g, ab.f) == (naive_mul(g, naive_compose(u, f)), naive_compose(v, f))
+    fbar = lagrange_revert(f)
+    assert f.revert() == fbar
+    inv = inverse(a)
+    assert (inv.g, inv.f) == (div_by_long_division(one(order), naive_compose(g, fbar)), fbar)
 
 
 def test_pascal_triangle():

@@ -40,6 +40,8 @@ from expriordan.catalog import (
     sinh_series,
     tanh_series,
 )
+from expriordan.production import za_sequences
+from expriordan.riordan import build, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +295,15 @@ def test_revert_preconditions():
 def test_revert_nonconvergence_is_a_domain_error(monkeypatch):
     # A wrong Newton correction leaves f(g) != x; the exact residual check
     # reports that as an arithmetic failure, not as a failed internal assert.
+    # The group inverse and (Z, A) compose g with fbar through the power table
+    # that check built, so they must fail the same way, not use the table.
     mod = importlib.import_module("expriordan.series")
+    arr = build(sech_series(8), sin_series(8))
     div = mod._div
     monkeypatch.setattr(mod, "_div", lambda a, b, n: [c + 1 for c in div(a, b, n)])
-    with pytest.raises(ArithmeticError, match="^Newton reversion failed to converge$"):
-        sin_series(8).revert()
+    for call in (sin_series(8).revert, lambda: inverse(arr), lambda: za_sequences(arr.g, arr.f)):
+        with pytest.raises(ArithmeticError, match="^Newton reversion failed to converge$"):
+            call()
 
 
 # Reversion works at the orders ... n >> 2, n >> 1, n, so each order below

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_18.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_19.json.
 
-Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
+Usage: python scripts/bench_layers.py [--src DIR] [--label NAME] [--rounds K]
 
 At n = 8, 16, 24, 32 and 64 it times ``revert``, ``compose`` (f with its inverse),
 ``build``, ``inverse``, ``za_sequences``, ``multiply``,
@@ -24,19 +24,25 @@ and of ``algebraic`` (uncached), and three series divisions (``div``, the
 entry column naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2),
 whose integer divisor keeps the OGF loop.  At orders 24, 48 and 128 it
 times the uncached catalog jets: ``pair`` of every entry and
-``inverse_pair`` of ``arctan``.  Last, it times start-up (``startup``): fresh
-interpreters running ``python -c "import expriordan.cli"`` and ``python -m
-expriordan list`` against ``--src`` with ``PYTHONDONTWRITEBYTECODE=1``, so
-that each compiles the package from source as a clean checkout does.
+``inverse_pair`` of ``arctan``.  At orders 64 and 128 it times ``revert``,
+``inverse`` and ``za_sequences`` on every catalog entry (those at 64 on
+``algebraic`` and ``gompertz`` are the rows above).  Last, it times
+start-up (``startup``): fresh interpreters running ``python -c "import
+expriordan.cli"`` and ``python -m expriordan list`` against ``--src`` with
+``PYTHONDONTWRITEBYTECODE=1``, so that each compiles the package from source
+as a clean checkout does.
 
-The inputs are built before the timed calls.  Each operation is called up to
-five times, stopping once two seconds of calls are spent; the least wall
-time, which a busy machine can only raise, is recorded with the number of
-calls and the largest numerator or denominator bit-length in the result.  A
-start-up row is the least wall time of 20 processes; it has no order or
-bit-length.  The numbers go under ``runs[NAME]`` of BENCH_18.json at the
-repository root and other labels are kept, so the numbers of two source
-trees (say, a parent commit's ``src`` and this one's) sit side by side.
+The inputs are built before the timed calls.  The rows are timed
+round-robin: each round calls every operation once, in order, and there are
+``--rounds`` rounds (default 5), so a row's calls are spread over the whole
+run rather than bunched into one phase of a machine whose speed drifts.  The
+least wall time of a row, which a busy machine can only raise, is recorded
+with the number of calls and the largest numerator or denominator bit-length
+in the result.  A start-up row is the least wall time of 20 processes; it has
+no order or bit-length.  The numbers go under ``runs[NAME]`` of BENCH_19.json
+at the repository root and other labels are kept, so the numbers of two
+source trees (say, a parent commit's ``src`` and this one's, run in turn)
+sit side by side.
 """
 
 from __future__ import annotations
@@ -50,7 +56,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "algebraic"
@@ -58,14 +66,14 @@ JACOBI_ENTRY = "tanh"
 EXP_ENTRY = "gompertz"
 ORDERS = (8, 16, 24, 32, 64)
 PAIR_ORDERS = (24, 48, 128)
-REPEATS = 5
-BUDGET_S = 2.0
+REVERT_ORDERS = (64, 128)
+ROUNDS = 5
 STARTUP_CALLS = 20
 STARTUP = {
     "import expriordan.cli": ["-c", "import expriordan.cli"],
     "python -m expriordan list": ["-m", "expriordan", "list"],
 }
-OUT = ROOT / "BENCH_18.json"
+OUT = ROOT / "BENCH_19.json"
 
 
 def _fractions(obj) -> list:
@@ -97,44 +105,28 @@ def max_bits(obj) -> int:
     )
 
 
-def measure() -> list[dict]:
+def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
+    """The rows at jet order n, each call bound to this order's inputs."""
     from expriordan import catalog, orthopoly, production, riordan
     from expriordan.series import exp_series, log_series, pow_rational, series
 
-    def timed(name: str, entry: str, n: int, op) -> dict:
-        times: list[float] = []
-        while len(times) < REPEATS and sum(times) < BUDGET_S:
-            start = time.perf_counter()
-            result = op()
-            times.append(time.perf_counter() - start)
-        row = {
-            "operation": name,
-            "entry": entry,
-            "order": n,
-            "min_s": round(min(times), 6),
-            "calls": len(times),
-            "bits": max_bits(result),
-        }
-        print(f"{name:24s} {entry:12s} n={n:3d}  {row['min_s']:.6f} s  {row['bits']} bits")
-        return row
-
-    rows = []
-    for n in ORDERS:
-        g, f = catalog.pair(ENTRY, n)
-        arr = riordan.build(g, f)
-        dense_g, dense_f = catalog.pair(EXP_ENTRY, n)
-        dense = riordan.build(dense_g, dense_f)
-        fbar = f.revert()
-        za = production.za_sequences(g, f)
-        rec = orthopoly.recurrence_from_jacobi(catalog.entry(JACOBI_ENTRY).jacobi, n)
-        m = orthopoly.moments(rec, n)
-        sech2, tanh_f = (s.egf() for s in catalog.pair(JACOBI_ENTRY, 2 * n))
-        gompertz_u = 1 - catalog.expx_series(n, scale=-1)
-        gompertz_w = 1 - catalog.log1p_series(n)
-        square = series([1, 0, 1], order=n)
-        sinh, cosh = catalog.sinh_series(n), catalog.cosh_series(n)
-        fib = series([1, -1, -1], order=n)
-        ops = [
+    g, f = catalog.pair(ENTRY, n)
+    arr = riordan.build(g, f)
+    dense_g, dense_f = catalog.pair(EXP_ENTRY, n)
+    dense = riordan.build(dense_g, dense_f)
+    fbar = f.revert()
+    za = production.za_sequences(g, f)
+    rec = orthopoly.recurrence_from_jacobi(catalog.entry(JACOBI_ENTRY).jacobi, n)
+    m = orthopoly.moments(rec, n)
+    sech2, tanh_f = (s.egf() for s in catalog.pair(JACOBI_ENTRY, 2 * n))
+    gompertz_u = 1 - catalog.expx_series(n, scale=-1)
+    gompertz_w = 1 - catalog.log1p_series(n)
+    square = series([1, 0, 1], order=n)
+    sinh, cosh = catalog.sinh_series(n), catalog.cosh_series(n)
+    fib = series([1, -1, -1], order=n)
+    return [
+        (name, entry, n, op)
+        for name, entry, op in [
             ("revert", ENTRY, lambda: f.revert()),
             ("compose", ENTRY, lambda: f.compose(fbar)),
             ("build", ENTRY, lambda: riordan.build(g, f)),
@@ -167,12 +159,57 @@ def measure() -> list[dict]:
             ("div", "1/cosh", lambda: 1 / cosh),
             ("div", "1/(1-x-x^2)", lambda: 1 / fib),
         ]
-        rows += [timed(name, entry, n, op) for name, entry, op in ops]
+    ]
+
+
+def operations() -> list[tuple[str, str, int, Callable[[], object]]]:
+    """Every timed row as (operation, entry, order, call), inputs built."""
+    from expriordan import catalog, production, riordan
+
+    ops = [op for n in ORDERS for op in _at_order(n)]
     jets = [("pair", eid) for eid in catalog.ids()] + [("inverse_pair", "arctan")]
     for n in PAIR_ORDERS:
         for getter, entry in jets:
             op = getattr(catalog, getter).__wrapped__
-            rows.append(timed(getter, entry, n, lambda: op(entry, n)))
+            ops.append((getter, entry, n, partial(op, entry, n)))
+    for n in REVERT_ORDERS:
+        for eid in catalog.ids():
+            if n in ORDERS and eid in (ENTRY, EXP_ENTRY):
+                continue
+            g, f = catalog.pair(eid, n)
+            arr = riordan.build(g, f)
+            ops += [
+                ("revert", eid, n, f.revert),
+                ("inverse", eid, n, partial(riordan.inverse, arr)),
+                ("za_sequences", eid, n, partial(production.za_sequences, g, f)),
+            ]
+    return ops
+
+
+def measure(rounds: int) -> list[dict]:
+    ops = operations()
+    times: list[list[float]] = [[] for _ in ops]
+    bits: list[int] = []
+    for k in range(rounds):
+        for i, (name, entry, n, op) in enumerate(ops):
+            start = time.perf_counter()
+            result = op()
+            times[i].append(time.perf_counter() - start)
+            if k == 0:
+                bits.append(max_bits(result))
+        print(f"round {k + 1} of {rounds} done", file=sys.stderr)
+    rows = []
+    for (name, entry, n, _), ts, b in zip(ops, times, bits):
+        row = {
+            "operation": name,
+            "entry": entry,
+            "order": n,
+            "min_s": round(min(ts), 6),
+            "calls": len(ts),
+            "bits": b,
+        }
+        print(f"{name:24s} {entry:12s} n={n:3d}  {row['min_s']:.6f} s  {b} bits")
+        rows.append(row)
     return rows
 
 
@@ -207,21 +244,24 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding expriordan")
     ap.add_argument("--label", default="change", help="key of this run in the output")
+    ap.add_argument("--rounds", type=int, default=ROUNDS, help="calls of each row, one per round")
     args = ap.parse_args()
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     src = args.src.resolve()
     sys.path.insert(0, str(src))
 
-    results = measure() + startup(src)
+    results = measure(args.rounds) + startup(src)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.setdefault("script", "scripts/bench_layers.py")
     doc.setdefault("orders", list(ORDERS))
     doc.setdefault("pair_orders", list(PAIR_ORDERS))
-    doc.setdefault("statistic", "least wall time over up to five calls, or two seconds of calls")
+    doc.setdefault("revert_orders", list(REVERT_ORDERS))
+    doc.setdefault("statistic", "least wall time of one call per round, rows timed round-robin")
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
-        "max_calls": REPEATS,
-        "budget_s": BUDGET_S,
+        "rounds": args.rounds,
         "results": results,
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")

@@ -59,6 +59,14 @@ class TriMatrix(_Frozen):
                 raise ValueError(f"row {i} has entries above the superdiagonal")
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _trusted(cls, rows: Sequence[Sequence[Fraction]]) -> "TriMatrix":
+        """A matrix from rows the library built: square, non-empty, Fractions
+        only and zero above the superdiagonal, so nothing is re-checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", tuple(map(tuple, rows)))
+        return m
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -80,7 +88,7 @@ class TriMatrix(_Frozen):
         """The leading k-by-k block."""
         if not 1 <= k <= self.dim:
             raise ValueError(f"block size {k} out of range for dim {self.dim}")
-        return TriMatrix(tuple(row[:k] for row in self.rows[:k]))
+        return TriMatrix._trusted([row[:k] for row in self.rows[:k]])
 
     def is_lower_triangular(self) -> bool:
         return all(self.rows[i][i + 1] == 0 for i in range(self.dim - 1))
@@ -148,7 +156,7 @@ def mat_mul(a: TriMatrix, b: TriMatrix) -> TriMatrix:
         # row i of a . b = sum_k (an_k / ad) b_k
         r, m = _combine([(c, b_rows[k]) for k, c in enumerate(an) if c], dim)
         rows.append(_fractions(r, m * ad, dim))
-    return TriMatrix(rows)
+    return TriMatrix(rows)  # checked: a product of Hessenberg matrices can leave the band
 
 
 def solve_lower(
@@ -191,7 +199,7 @@ def solve_lower(
 
 def mat_inverse(a: TriMatrix) -> TriMatrix:
     """Exact inverse of a lower-triangular matrix with nonzero diagonal."""
-    return TriMatrix(solve_lower(a, identity_matrix(a.dim).rows))
+    return TriMatrix._trusted(solve_lower(a, identity_matrix(a.dim).rows))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +244,7 @@ def build(g: Series, f: Series) -> ExpRiordan:
         raise ValueError("f must have constant term 0")
     if f.order < 1 or f[1] != 1:
         raise ValueError("f must have linear coefficient 1")
-    return ExpRiordan(g=g, f=f, matrix=TriMatrix(_realize(g.coeffs, f.coeffs, g.order)))
+    return ExpRiordan(g=g, f=f, matrix=TriMatrix._trusted(_realize(g.coeffs, f.coeffs, g.order)))
 
 
 def _realize(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[list[Fraction]]:

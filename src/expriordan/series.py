@@ -9,10 +9,11 @@ result is normalized once at the end.  Composition and the columns of an
 exponential Riordan array read one table of powers g (f/x)^k.  Its rows are
 series in y = x^s, for s the gcd of the exponents of the nonzero terms of g
 and f/x, and keep only the coefficients of x^(js): an odd f with an even g
-has s = 2 and a quarter of the row products.  Reversion is Newton iteration
-that doubles its working order and checks f(g) = x exactly; it hands on the
-power table of g that check read, so g can be composed into another series
-without a second table.
+has s = 2 and a quarter of the row products.  Reversion solves g(f) = x,
+which is linear in g, by forward substitution on the power table of f, then
+checks the other-sided identity f(g) = x exactly on a fresh table of g; it
+hands on that table, so g can be composed into another series without a
+second one.
 exp and log are one integer recurrence in exponential coordinates, E' = u'E,
 solved for E by exp and for u by log.  Division takes whichever coordinates
 keep its integers smaller, per call: long division on OGF numerators, which
@@ -158,12 +159,11 @@ def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> _Table:
     fn, fd = _scaled(f[1:], min(len(f), n + 1) - 2)  # unpadded: f = x costs O(n^2)
     r, d = _scaled(g, n)
     s = gcd(*compress(count(), r), *compress(count(), fn)) or 1
-    r, fn = r[::s], fn[::s]
-    rows = []
-    for k in range(n + 1):
-        r, d = _content_removed(r, d)
-        rows.append((r, d))
-        r, d = _conv(r, fn, (n - k - 1) // s), d * fd
+    rows = [_content_removed(r[::s], d)]
+    fn = fn[::s]
+    for k in range(n):
+        r, d = rows[k]
+        rows.append(_content_removed(_conv(r, fn, (n - k - 1) // s), d * fd))
     return s, rows
 
 
@@ -254,27 +254,36 @@ def _revert(f: Sequence[Fraction], n: int) -> tuple[list[Fraction], _Table]:
         raise ValueError("reversion requires a zero constant term")
     if n < 1 or f[1] == 0:
         raise ValueError("reversion requires an invertible linear coefficient")
-    # Newton iteration g <- g - (f(g) - x)/f'(g), quadratic in the x-adic
-    # metric: a g exact to order m is exact to order 2m + 1 after one step,
-    # so the working order doubles, 1 -> ... -> n >> 1 -> n.  The residual
-    # f(g) - x must vanish exactly at order n before g or its table is
-    # returned.
-    fp = _derive(f)
-    g = [Fraction(0), 1 / f[1]]
-    m = 1
-    for top in [n >> i for i in range(n.bit_length() - 2, -1, -1)]:
-        # f(g) - x vanishes through x^m, so f'(g) is needed only to order
-        # top - m - 1; both compositions read one power table of g.
-        table = _powers([1], g, top)
-        low = top - m - 1
-        corr = _div(_compose(f, table, top)[m + 1 :], _compose(fp, table, low), low)
-        g = g[: m + 1] + [-c for c in corr]
-        m = top
+    # g(f) = sum_k g_k x^k (f/x)^k = x is linear in g and lower-triangular
+    # on the powers of f/x, with diagonal f_1^k: forward substitution.  f/x
+    # is h(y) for y = x^s, s the gcd of its exponents, and so is g/x: only
+    # g_j with j = 1 + i*s can be nonzero, and they read only the powers
+    # h^(1 + i*s) = h * (h^s)^i through y^(top - i), top = (n - 1) // s: the
+    # power table of h and y * h^s, in y.  At j = 1 + i*s, acc over d holds
+    # the terms x^j, x^(j+s), ... of sum_{k<j} g_k x^k (f/x)^k - x, d the lcm
+    # of their denominators: g_j cancels the first, the rest moves to the new
+    # lcm.
+    s = gcd(*compress(count(), f[1:])) or 1
+    top = (n - 1) // s
+    h = hs = f[1::s]
+    for _ in range(s - 1):
+        hs = _mul(hs, h, top)
+    g = [Fraction(0)] * (n + 1)
+    acc, d = [-1] + [0] * top, 1
+    for i, (r, dj) in enumerate(_powers(h, [0, *hs[:top]], top)[1]):
+        g[1 + i * s] = c = Fraction(-acc[0] * dj, d * r[0])
+        e = c.denominator * dj
+        m = lcm(d, e)
+        a, b = m // d, c.numerator * (m // e)
+        acc = [a * u + b * v for u, v in zip(acc[1:], r[1:])]
+        d = m
+    # The check reads f(g) = x, the other-sided identity, on a fresh table
+    # of g; g and its table are returned only if it holds through x^n.
     table = _powers([1], g, n)
     err = _compose(f, table, n)
     err[1] -= 1
     if any(err):
-        raise ArithmeticError("Newton reversion failed to converge")
+        raise ArithmeticError("reversion failed its exact check f(g) = x")
     return g, table
 
 

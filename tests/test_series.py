@@ -293,21 +293,31 @@ def test_revert_preconditions():
 
 
 def test_revert_nonconvergence_is_a_domain_error(monkeypatch):
-    # A wrong Newton correction leaves f(g) != x; the exact residual check
+    # A wrong entry in the power table of f, which the forward substitution
+    # reads, gives a wrong g; the exact check f(g) = x on a fresh table of g
     # reports that as an arithmetic failure, not as a failed internal assert.
     # The group inverse and (Z, A) compose g with fbar through the power table
     # that check built, so they must fail the same way, not use the table.
     mod = importlib.import_module("expriordan.series")
-    arr = build(sech_series(8), sin_series(8))
-    div = mod._div
-    monkeypatch.setattr(mod, "_div", lambda a, b, n: [c + 1 for c in div(a, b, n)])
-    for call in (sin_series(8).revert, lambda: inverse(arr), lambda: za_sequences(arr.g, arr.f)):
-        with pytest.raises(ArithmeticError, match="^Newton reversion failed to converge$"):
+    f = sin_series(8)
+    arr = build(sech_series(8), f)
+    powers = mod._powers
+
+    def perturbed(g, inner, n):
+        s, rows = powers(g, inner, n)
+        if list(g) != [1]:  # the powers of f/x; the check's table of g is left intact
+            r, d = rows[1]  # sin has s = 2: (f/x)^3 in y = x^2, r holds x^3, x^5, x^7
+            rows[1] = ([r[0], r[1] + 1, *r[2:]], d)
+        return s, rows
+
+    monkeypatch.setattr(mod, "_powers", perturbed)
+    for call in (f.revert, lambda: inverse(arr), lambda: za_sequences(arr.g, arr.f)):
+        with pytest.raises(ArithmeticError, match=r"^reversion failed its exact check f\(g\) = x$"):
             call()
 
 
-# Reversion works at the orders ... n >> 2, n >> 1, n, so each order below
-# takes its own path: 1 -> 2 -> 4 -> 8, 1 -> 3 -> 6 -> 13, 1 -> 3 -> 7, ...
+# Order 1 is g = x/f_1 alone, orders 2 and 3 the first terms below the
+# diagonal, and 24 the order of perfbench's sweep; sigmoid_like has f_1 = 1.
 @pytest.mark.parametrize("order", [1, 2, 3, 7, 8, 13, 24])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
@@ -317,6 +327,30 @@ def test_revert_matches_lagrange_and_round_trips(order, data):
     assert fbar == lagrange_revert(f)
     assert f.compose(fbar) == x(order)
     assert fbar.compose(f) == x(order)
+
+
+@st.composite
+def _strided_revertible(draw):
+    """(f, s) with f = x h(x^s): h(0) = f_1 any nonzero rational, negative and
+    non-unit included, and the other terms of h from mixed_rationals, zeros
+    included, so the power table of f has stride s or a multiple of it."""
+    order, s = draw(st.integers(1, 13)), draw(st.integers(1, 4))
+    f1 = draw(mixed_rationals.filter(bool))
+    tail = (draw(mixed_rationals) if (j - 1) % s == 0 else F(0) for j in range(2, order + 1))
+    return Series((F(0), f1, *tail)), s
+
+
+@given(fs=_strided_revertible())
+@example(fs=(Series((F(0), F(-2, 3), F(0), F(0), F(5), F(0), F(0), F(-1, 7))), 3))
+@example(fs=(Series((F(0), F(-1), F(0), F(0), F(0), F(0))), 4))
+@settings(max_examples=200, deadline=None)
+def test_revert_off_the_unit_slope_and_strided_matches_lagrange(fs):
+    f, s = fs
+    fbar = f.revert()
+    assert fbar == lagrange_revert(f)
+    assert not any(c for j, c in enumerate(fbar) if j == 0 or (j - 1) % s)
+    assert f.compose(fbar) == x(f.order)
+    assert fbar.compose(f) == x(f.order)
 
 
 @given(data=st.data(), order=st.integers(min_value=0, max_value=9))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the series, array and orthopoly layers at fixed jet orders; write BENCH_19.json.
 
-Usage: python scripts/bench_layers.py [--src DIR] [--label NAME] [--rounds K]
+Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
 At n = 8, 16, 24, 32 and 64 it times ``revert``, ``compose`` (f with its inverse),
 ``build``, ``inverse``, ``za_sequences``, ``multiply``,
@@ -33,16 +33,15 @@ expriordan.cli"`` and ``python -m expriordan list`` against ``--src`` with
 as a clean checkout does.
 
 The inputs are built before the timed calls.  The rows are timed
-round-robin: each round calls every operation once, in order, and there are
-``--rounds`` rounds (default 5), so a row's calls are spread over the whole
-run rather than bunched into one phase of a machine whose speed drifts.  The
-least wall time of a row, which a busy machine can only raise, is recorded
-with the number of calls and the largest numerator or denominator bit-length
-in the result.  A start-up row is the least wall time of 20 processes; it has
-no order or bit-length.  The numbers go under ``runs[NAME]`` of BENCH_19.json
-at the repository root and other labels are kept, so the numbers of two
-source trees (say, a parent commit's ``src`` and this one's, run in turn)
-sit side by side.
+round-robin: each of five rounds calls every operation once, in order, so
+a row's calls are spread over the whole run rather than bunched into one
+phase of a machine whose speed drifts.  The least wall time of a row, which
+a busy machine can only raise, is recorded with the number of calls and
+the largest numerator or denominator bit-length in the result.  A start-up
+row is the least wall time of 20 processes; it has no order or bit-length.
+The numbers go under ``runs[NAME]`` of BENCH_19.json at the repository root
+and other labels are kept, so the numbers of two source trees (say, a parent
+commit's ``src`` and this one's, run in turn) sit side by side.
 """
 
 from __future__ import annotations
@@ -186,18 +185,18 @@ def operations() -> list[tuple[str, str, int, Callable[[], object]]]:
     return ops
 
 
-def measure(rounds: int) -> list[dict]:
+def measure() -> list[dict]:
     ops = operations()
     times: list[list[float]] = [[] for _ in ops]
     bits: list[int] = []
-    for k in range(rounds):
+    for k in range(ROUNDS):
         for i, (name, entry, n, op) in enumerate(ops):
             start = time.perf_counter()
             result = op()
             times[i].append(time.perf_counter() - start)
             if k == 0:
                 bits.append(max_bits(result))
-        print(f"round {k + 1} of {rounds} done", file=sys.stderr)
+        print(f"round {k + 1} of {ROUNDS} done", file=sys.stderr)
     rows = []
     for (name, entry, n, _), ts, b in zip(ops, times, bits):
         row = {
@@ -244,14 +243,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding expriordan")
     ap.add_argument("--label", default="change", help="key of this run in the output")
-    ap.add_argument("--rounds", type=int, default=ROUNDS, help="calls of each row, one per round")
     args = ap.parse_args()
-    if args.rounds < 1:
-        ap.error("--rounds must be at least 1")
     src = args.src.resolve()
     sys.path.insert(0, str(src))
 
-    results = measure(args.rounds) + startup(src)
+    results = measure() + startup(src)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.setdefault("script", "scripts/bench_layers.py")
     doc.setdefault("orders", list(ORDERS))
@@ -261,7 +257,6 @@ def main() -> int:
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
-        "rounds": args.rounds,
         "results": results,
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")

@@ -94,8 +94,6 @@ def production_analytic(za: ZAPair, dim: int) -> TriMatrix:
             f"dim {dim} needs z to order {dim - 1} and a to order {dim - 1}, "
             f"have {za.z.order} and {za.a.order}"
         )
-    if dim < 1:
-        raise ValueError("matrix must be square and non-empty")
     # P[i][k] = (i!/k!) (z_(i-k) + k a_(i-k+1)) on the integers of Z and A
     # over one denominator, and the superdiagonal is a_0.  a_dim appears only
     # in column 0, times k = 0, so a is read through a_(dim-1) and padded.
@@ -115,7 +113,7 @@ def production_analytic(za: ZAPair, dim: int) -> TriMatrix:
         if i + 1 < dim:
             row[i + 1] = za.a[0]
         rows.append(row)
-    return TriMatrix._trusted(rows)
+    return (TriMatrix._trusted if dim >= 1 else TriMatrix)(rows)
 
 
 def tridiagonal_params(p: TriMatrix) -> JacobiParams | None:

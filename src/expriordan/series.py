@@ -44,7 +44,7 @@ Series((1, 0, -1, 0, 0))
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -148,6 +148,12 @@ def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
 _Table = tuple[int, list[tuple[list[int], int]]]
 
 
+def _stride(*rows: Sequence) -> int:
+    """The gcd of the exponents of the nonzero terms of the rows, 1 when
+    there are none: every row is a series in x^s for this s."""
+    return gcd(*chain.from_iterable(compress(count(), r) for r in rows)) or 1
+
+
 def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> _Table:
     """The power table (s, rows): rows k = 0..n of g*(f/x)^k through x^(n-k),
     each as integer numerators over a denominator, content removed; f[0]
@@ -158,7 +164,7 @@ def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> _Table:
     An odd f with an even g has s = 2, and each product costs a quarter."""
     fn, fd = _scaled(f[1:], min(len(f), n + 1) - 2)  # unpadded: f = x costs O(n^2)
     r, d = _scaled(g, n)
-    s = gcd(*compress(count(), r), *compress(count(), fn)) or 1
+    s = _stride(r, fn)
     rows = [_content_removed(r[::s], d)]
     fn = fn[::s]
     for k in range(n):
@@ -259,11 +265,12 @@ def _revert(f: Sequence[Fraction], n: int) -> tuple[list[Fraction], _Table]:
     # is h(y) for y = x^s, s the gcd of its exponents, and so is g/x: only
     # g_j with j = 1 + i*s can be nonzero, and they read only the powers
     # h^(1 + i*s) = h * (h^s)^i through y^(top - i), top = (n - 1) // s: the
-    # power table of h and y * h^s, in y.  At j = 1 + i*s, acc over d holds
-    # the terms x^j, x^(j+s), ... of sum_{k<j} g_k x^k (f/x)^k - x, d the lcm
-    # of their denominators: g_j cancels the first, the rest moves to the new
-    # lcm.
-    s = gcd(*compress(count(), f[1:])) or 1
+    # power table of h and y * h^s, in y.  That table's own stride is 1,
+    # because s was divided out of h, so its row i holds y^0, y^1, ... in
+    # turn.  At j = 1 + i*s, acc over d holds the terms x^j, x^(j+s), ... of
+    # sum_{k<j} g_k x^k (f/x)^k - x, d the lcm of their denominators: g_j
+    # cancels the first, the rest moves to the new lcm.
+    s = _stride(f[1:])
     top = (n - 1) // s
     h = hs = f[1::s]
     for _ in range(s - 1):

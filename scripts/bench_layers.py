@@ -20,10 +20,10 @@ no vanishing minor), ``jfraction_g_egf`` (depth n of sech^2) and
 h_n vanish).  It also times ``exp_series`` of 1 - e^(-x) and ``log_series``
 of 1 - log(1 + x), the series of the ``gompertz`` entry, ``pow_rational``
 (1 + x^2)^(-3/2), the g of ``algebraic``, ``catalog.pair`` of ``gompertz``
-and of ``algebraic`` (uncached), and three series divisions (``div``, the
-entry column naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2),
-whose integer divisor keeps the OGF loop.  At orders 24, 48 and 128 it
-times the uncached catalog jets: ``pair`` of every entry and
+and of ``algebraic``, and three series divisions (``div``, the entry column
+naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2), whose integer
+divisor keeps the OGF loop.  At orders 24, 48 and 128 it times the catalog
+jets: ``pair`` of every entry and
 ``inverse_pair`` of ``arctan``.  At orders 64 and 128 it times ``revert``,
 ``inverse`` and ``za_sequences`` on every catalog entry (those at 64 on
 ``algebraic`` and ``gompertz`` are the rows above).  Last, it times
@@ -37,7 +37,8 @@ round-robin: each of five rounds calls every operation once, in order, so
 a row's calls are spread over the whole run rather than bunched into one
 phase of a machine whose speed drifts.  The least wall time of a row, which
 a busy machine can only raise, is recorded with the number of calls and
-the largest numerator or denominator bit-length in the result.  A start-up
+the largest numerator or denominator bit-length in the result, as
+``perfbench/results.py`` counts it.  A start-up
 row is the least wall time of 20 processes; it has no order or bit-length.
 The numbers go under ``runs[NAME]`` of BENCH_19.json at the repository root
 and other labels are kept, so the numbers of two source trees (say, a parent
@@ -73,35 +74,6 @@ STARTUP = {
     "python -m expriordan list": ["-m", "expriordan", "list"],
 }
 OUT = ROOT / "BENCH_19.json"
-
-
-def _fractions(obj) -> list:
-    """Every rational in a result, through the public attributes."""
-    from expriordan.orthopoly import Recurrence
-    from expriordan.production import ZAPair
-    from expriordan.riordan import ExpRiordan, TriMatrix
-    from expriordan.series import Series
-
-    if isinstance(obj, Series):
-        return list(obj.coeffs)
-    if isinstance(obj, TriMatrix):
-        return [v for row in obj.rows for v in row]
-    if isinstance(obj, ExpRiordan):
-        return [*obj.g.coeffs, *obj.f.coeffs, *_fractions(obj.matrix)]
-    if isinstance(obj, ZAPair):
-        return [*obj.z.coeffs, *obj.a.coeffs]
-    if isinstance(obj, Recurrence):
-        return [*obj.b, *obj.lam]
-    if isinstance(obj, (tuple, list)):
-        return [q for v in obj for q in (_fractions(v) if isinstance(v, Series) else [v])]
-    raise TypeError(f"no rationals known for {type(obj).__name__}")
-
-
-def max_bits(obj) -> int:
-    return max(
-        max(q.numerator.bit_length(), q.denominator.bit_length())
-        for q in _fractions(obj)
-    )
 
 
 def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
@@ -152,8 +124,8 @@ def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
             ("exp_series", EXP_ENTRY, lambda: exp_series(gompertz_u)),
             ("log_series", EXP_ENTRY, lambda: log_series(gompertz_w)),
             ("pow_rational", ENTRY, lambda: pow_rational(square, "-3/2")),
-            ("pair", EXP_ENTRY, lambda: catalog.pair.__wrapped__(EXP_ENTRY, n)),
-            ("pair", ENTRY, lambda: catalog.pair.__wrapped__(ENTRY, n)),
+            ("pair", EXP_ENTRY, lambda: catalog.pair(EXP_ENTRY, n)),
+            ("pair", ENTRY, lambda: catalog.pair(ENTRY, n)),
             ("div", "sinh/cosh", lambda: sinh / cosh),
             ("div", "1/cosh", lambda: 1 / cosh),
             ("div", "1/(1-x-x^2)", lambda: 1 / fib),
@@ -169,8 +141,7 @@ def operations() -> list[tuple[str, str, int, Callable[[], object]]]:
     jets = [("pair", eid) for eid in catalog.ids()] + [("inverse_pair", "arctan")]
     for n in PAIR_ORDERS:
         for getter, entry in jets:
-            op = getattr(catalog, getter).__wrapped__
-            ops.append((getter, entry, n, partial(op, entry, n)))
+            ops.append((getter, entry, n, partial(getattr(catalog, getter), entry, n)))
     for n in REVERT_ORDERS:
         for eid in catalog.ids():
             if n in ORDERS and eid in (ENTRY, EXP_ENTRY):
@@ -186,6 +157,8 @@ def operations() -> list[tuple[str, str, int, Callable[[], object]]]:
 
 
 def measure() -> list[dict]:
+    from results import max_bits
+
     ops = operations()
     times: list[list[float]] = [[] for _ in ops]
     bits: list[int] = []
@@ -245,7 +218,7 @@ def main() -> int:
     ap.add_argument("--label", default="change", help="key of this run in the output")
     args = ap.parse_args()
     src = args.src.resolve()
-    sys.path.insert(0, str(src))
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 
     results = measure() + startup(src)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Optional
 
@@ -442,7 +441,6 @@ def entry(entry_id: str) -> CatalogEntry:
         raise KeyError(f"unknown catalog id {entry_id!r}; known ids: {known}") from None
 
 
-@lru_cache(maxsize=None)
 def pair(entry_id: str, order: int) -> tuple[Series, Series]:
     """(g, f) at jet order ``order``, with f = int_0^x g unless the entry
     states f."""
@@ -453,7 +451,6 @@ def pair(entry_id: str, order: int) -> tuple[Series, Series]:
     return g, g.integrate().truncate(order)
 
 
-@lru_cache(maxsize=None)
 def inverse_pair(entry_id: str, order: int) -> tuple[Series, Series]:
     """(g, f) of the inverse array: the entry's stated closed forms, else the
     group inverse of :func:`pair`, reverted at order 1 at least."""

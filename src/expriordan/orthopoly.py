@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .riordan import TriMatrix, from_rows
-from .series import Series, _content_removed, _Frozen, _scaled, series
+from .series import Series, _content_removed, _Frozen, _quotient, _scaled, series
 
 __all__ = [
     "Recurrence",
@@ -101,9 +101,10 @@ def _hfraction(seq: Sequence[Fraction], n: int) -> list[tuple[int, list[int], in
     x^(2(n - s_j) - k_j), r[0] != 0, content removed.
 
     With q the integer row of R_(j-1), k = k_j and p = r[0]^(k+2), the
-    integer quotient P = p q/r through x^(k+1) is P[0] (1 + u_(j+1) x), and
-    x^(k+2) G_(j+1) R_j = (r P - p q) / (den P[0]), whose terms through
-    x^(k+1) cancel.  That is O(n (k_j + 1)) integer products per level."""
+    integer quotient P = p q/r through x^(k+1), the long division of
+    ``series._quotient``, is P[0] (1 + u_(j+1) x), and x^(k+2) G_(j+1) R_j =
+    (r P - p q) / (den P[0]), whose terms through x^(k+1) cancel.  That is
+    O(n (k_j + 1)) integer products per level."""
     if n < 0:
         raise ValueError(f"Hankel order {n} is negative")
     terms = [v if type(v) is Fraction else Fraction(v) for v in seq[: 2 * n + 1]]
@@ -119,11 +120,7 @@ def _hfraction(seq: Sequence[Fraction], n: int) -> list[tuple[int, list[int], in
         s += k + 1
         if s > n:
             return levels
-        r0 = r[0]
-        p = r0 ** (k + 2)
-        quot: list[int] = []
-        for i in range(k + 2):
-            quot.append((q[i] * p - sum(map(int.__mul__, quot, r[i:0:-1]))) // r0)
+        quot, p = _quotient(q, r, k + 1)
         # The terms through x^(k+1) cancel; len(r) - k - 2 = 2(n - s) + 1 remain.
         a = [-p * w for w in q[k + 2 : len(r)]]
         for i, t in enumerate(quot):

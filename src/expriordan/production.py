@@ -18,7 +18,7 @@ as :class:`JacobiParams`, the data of a monic three-term recurrence.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .riordan import ExpRiordan, TriMatrix, solve_lower
 from .series import Series, _Frozen, _revert_compose, _scaled
@@ -97,10 +97,8 @@ def production_analytic(za: ZAPair, dim: int) -> TriMatrix:
     # P[i][k] = (i!/k!) (z_(i-k) + k a_(i-k+1)) on the integers of Z and A
     # over one denominator, and the superdiagonal is a_0.  a_dim appears only
     # in column 0, times k = 0, so a is read through a_(dim-1) and padded.
-    zn, zd = _scaled(za.z.coeffs, dim - 1)
-    an, ad = _scaled(za.a.coeffs, dim - 1)
-    d = lcm(zd, ad)
-    zn, an = [v * (d // zd) for v in zn], [v * (d // ad) for v in an] + [0]
+    nums, d = _scaled((*za.z.coeffs[:dim], *za.a.coeffs[:dim]), 2 * dim - 1)
+    zn, an = nums[:dim], nums[dim:] + [0]
     facts = [factorial(i) for i in range(dim)]
     zero = Fraction(0)
     rows = []

@@ -3,7 +3,8 @@
 The array ``[g, f]`` built from series g (g(0)=1) and f (f(0)=0, f'(0)=1)
 has entries ``t[n][k] = (n!/k!) [x^n] g(x) f(x)^k``, read off the power table
 g (f/x)^k.  Arrays carry both the generating pair and the realized matrix;
-the group law is computed on the series side and the matrix side checks it.
+the group law is computed on the series side, and ``mat_mul`` of the
+realized matrices is the check that the tests and the benchmark run.
 
 The matrix routines run on integer rows, as the series kernels do: each row
 becomes integer numerators over one denominator, a sum of rows times
@@ -92,9 +93,6 @@ class TriMatrix(_Frozen):
 
     def is_lower_triangular(self) -> bool:
         return all(self.rows[i][i + 1] == 0 for i in range(self.dim - 1))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
 
     def render_text(self) -> str:
         cells = [[str(v) for v in row] for row in self.rows]

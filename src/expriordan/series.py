@@ -26,8 +26,8 @@ such as 1 - x - x^2 keeps the OGF loop, where m! would only add bits.
 Binary operations require operands of equal order -- mixing orders would
 silently discard precision, so it raises instead.  Equality is strict too:
 jets of different orders are unequal.  Use :meth:`Series.truncate` when a
-shorter jet is genuinely wanted, and :meth:`Series.agrees_to` to compare two
-jets through a given order.
+shorter jet is genuinely wanted, on both sides to compare two jets through a
+given order.
 
 The exponential-coefficient view of the same jet is ``n! * c_n``; the two
 views convert exactly in both directions (:func:`from_egf`,
@@ -132,16 +132,24 @@ def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
                 q.append(am - sum(map(int.__mul__, qb, row)))
                 row = [1, *map(int.__add__, row, row[1:]), 1]
             return _egf_unscaled(q, d, e)
-    rb = bn[::-1]
-    b0 = bn[0]
-    p = b0 ** (n + 1)
-    # The k-th coefficient of an/bn has a denominator dividing b0^(k+1), so
-    # t_k = p * (an/bn)_k is an integer and the division by b0 is exact.
-    t: list[int] = []
-    for k in range(n + 1):
-        t.append((an[k] * p - sum(map(int.__mul__, t, rb[n - k : n]))) // b0)
+    t, p = _quotient(an, bn, n)
     d = ad * p
     return [Fraction(v * bd, d) for v in t]
+
+
+def _quotient(an: Sequence[int], bn: Sequence[int], n: int) -> tuple[list[int], int]:
+    """Integer long division of the rows an / bn through x^n, bn[0] != 0:
+    (t, p) with p = bn[0]^(n+1) and t = p * an/bn through x^n.  Both rows
+    must reach x^n and may run past it.  The k-th coefficient of an/bn has
+    a denominator dividing bn[0]^(k+1), so t is an integer row and every
+    division by bn[0] is exact."""
+    b0 = bn[0]
+    p = b0 ** (n + 1)
+    rb = bn[n:0:-1]  # bn[n], ..., bn[1]
+    t: list[int] = []
+    for k in range(n + 1):
+        t.append((an[k] * p - sum(map(int.__mul__, t, rb[n - k :]))) // b0)
+    return t, p
 
 
 # A power table (s, rows) from _powers: rows of integers in y = x^s.
@@ -363,14 +371,6 @@ class Series(_Frozen):
         if not isinstance(other, Series):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def agrees_to(self, other: "Series", n: int) -> bool:
-        """True when both jets reach order ``n`` and agree through x^n."""
-        if n < 0 or n > min(self.order, other.order):
-            raise ValueError(
-                f"cannot compare order-{self.order} and order-{other.order} jets to order {n}"
-            )
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
     __hash__ = None  # type: ignore[assignment]
 

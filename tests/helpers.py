@@ -346,10 +346,20 @@ def derivative_closed_production(f: Series) -> TriMatrix:
     return TriMatrix(tuple(row[: n - 1] for row in naive_build(a, x(n - 1))[1:]))
 
 
+def agrees_to(s: Series, t: Series, n: int) -> bool:
+    """True when both jets reach order n and agree through x^n; a ValueError
+    from ``truncate`` when one of them stops short of x^n."""
+    return s.truncate(n) == t.truncate(n)
+
+
+def column(m: TriMatrix, j: int) -> tuple[Fraction, ...]:
+    return tuple(row[j] for row in m.rows)
+
+
 def is_derivative_subgroup(a: ExpRiordan) -> bool:
     """True when g equals f' exactly to order N-1."""
     fp = a.f.derive()
-    return fp.agrees_to(a.g, fp.order)
+    return agrees_to(fp, a.g, fp.order)
 
 
 def is_checkerboard(a: ExpRiordan) -> bool:

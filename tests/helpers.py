@@ -353,6 +353,7 @@ def agrees_to(s: Series, t: Series, n: int) -> bool:
 
 
 def column(m: TriMatrix, j: int) -> tuple[Fraction, ...]:
+    """Column j of m, top to bottom."""
     return tuple(row[j] for row in m.rows)
 
 

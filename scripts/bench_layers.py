@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_19.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_21.json.
 
 Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
 
@@ -25,8 +25,9 @@ naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2), whose integer
 divisor keeps the OGF loop.  At orders 24, 48 and 128 it times the catalog
 jets: ``pair`` of every entry and
 ``inverse_pair`` of ``arctan``.  At orders 64 and 128 it times ``revert``,
-``inverse`` and ``za_sequences`` on every catalog entry (those at 64 on
-``algebraic`` and ``gompertz`` are the rows above).  Last, it times
+``inverse``, ``za_sequences``, ``build`` and ``multiply`` (of the array with
+itself) on every catalog entry (those at 64 on ``algebraic`` and
+``gompertz`` are the rows above).  Last, it times
 start-up (``startup``): fresh interpreters running ``python -c "import
 expriordan.cli"`` and ``python -m expriordan list`` against ``--src`` with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each compiles the package from source
@@ -40,7 +41,7 @@ a busy machine can only raise, is recorded with the number of calls and
 the largest numerator or denominator bit-length in the result, as
 ``perfbench/results.py`` counts it.  A start-up
 row is the least wall time of 20 processes; it has no order or bit-length.
-The numbers go under ``runs[NAME]`` of BENCH_19.json at the repository root
+The numbers go under ``runs[NAME]`` of BENCH_21.json at the repository root
 and other labels are kept, so the numbers of two source trees (say, a parent
 commit's ``src`` and this one's, run in turn) sit side by side.
 """
@@ -73,7 +74,7 @@ STARTUP = {
     "import expriordan.cli": ["-c", "import expriordan.cli"],
     "python -m expriordan list": ["-m", "expriordan", "list"],
 }
-OUT = ROOT / "BENCH_19.json"
+OUT = ROOT / "BENCH_21.json"
 
 
 def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
@@ -152,6 +153,8 @@ def operations() -> list[tuple[str, str, int, Callable[[], object]]]:
                 ("revert", eid, n, f.revert),
                 ("inverse", eid, n, partial(riordan.inverse, arr)),
                 ("za_sequences", eid, n, partial(production.za_sequences, g, f)),
+                ("build", eid, n, partial(riordan.build, g, f)),
+                ("multiply", eid, n, partial(riordan.multiply, arr, arr)),
             ]
     return ops
 

@@ -1,10 +1,12 @@
 """Exponential Riordan arrays and exact triangular matrix algebra.
 
 The array ``[g, f]`` built from series g (g(0)=1) and f (f(0)=0, f'(0)=1)
-has entries ``t[n][k] = (n!/k!) [x^n] g(x) f(x)^k``, read off the power table
-g (f/x)^k.  Arrays carry both the generating pair and the realized matrix;
-the group law is computed on the series side, and ``mat_mul`` of the
-realized matrices is the check that the tests and the benchmark run.
+has entries ``t[n][k] = (n!/k!) [x^n] g(x) f(x)^k``: column k holds the EGF
+coefficients of g f^k / k!, row k of the divided-power table of
+``series._powers``, integers for integer EGF input.  Arrays carry both the
+generating pair and the realized matrix; the group law is computed on the
+series side, and ``mat_mul`` of the realized matrices is the check that the
+tests and the benchmark run.
 
 The matrix routines run on integer rows, as the series kernels do: each row
 becomes integer numerators over one denominator, a sum of rows times
@@ -17,7 +19,7 @@ call it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import Sequence
 
 from .series import Series, _compose, _content_removed, _Frozen, _powers, _revert_compose, _scaled
@@ -246,14 +248,16 @@ def build(g: Series, f: Series) -> ExpRiordan:
 
 
 def _realize(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[list[Fraction]]:
-    """Rows of the (n+1)-square block t[i][k] = (i!/k!) [x^(i-k)] g (f/x)^k."""
-    facts = [factorial(i) for i in range(n + 1)]
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    s, table = _powers(g, f, n)
-    for k, (r, d) in enumerate(table):
-        # row k of the table holds the terms of x^(i-k) for i = k, k + s, ...
+    """Rows of the (n+1)-square block t[i][k]: column k is row k of the
+    divided-power table, each term x^i over the table's scale d^i."""
+    zero = Fraction(0)
+    rows = [[zero] * (n + 1) for _ in range(n + 1)]
+    s, d, table = _powers(g, f, n)
+    scale = [d**i for i in range(n + 1)]
+    for k, r in enumerate(table):
+        # row k of the table holds the terms of x^i for i = k, k + s, ...
         for i, v in zip(range(k, n + 1, s), r):
-            rows[i][k] = Fraction(facts[i] // facts[k] * v, d)
+            rows[i][k] = Fraction(v) if d == 1 else Fraction(v, scale[i])
     return rows
 
 

@@ -6,14 +6,20 @@ exact and there is no floating point in this module.  The coefficients are
 normalized :class:`fractions.Fraction` values; inside the kernels each
 operand becomes integer numerators over one common denominator, and the
 result is normalized once at the end.  Composition and the columns of an
-exponential Riordan array read one table of powers g (f/x)^k.  Its rows are
-series in y = x^s, for s the gcd of the exponents of the nonzero terms of g
-and f/x, and keep only the coefficients of x^(js): an odd f with an even g
-has s = 2 and a quarter of the row products.  Reversion solves g(f) = x,
-which is linear in g, by forward substitution on the power table of f, then
-checks the other-sided identity f(g) = x exactly on a fresh table of g; it
-hands on that table, so g can be composed into another series without a
-second one.
+exponential Riordan array read one table, the divided-power table: row k
+holds the EGF coefficients of g f^k / k!, which is column k of the array
+[g, f].  For g and f with integer EGF coefficients these are integers
+(f^k / k! has the partial Bell polynomials of f's coefficients as its EGF
+coefficients), so row k + 1, the binomial convolution of row k with f,
+divides exactly by k + 1; rational input becomes integer rows by the least
+scale d that makes every d^m m! c_m an integer.  The rows are series in
+y = x^s, for s the gcd of the exponents of the nonzero terms of g and f/x,
+and keep only the coefficients of x^(k+js): an odd f with an even g has
+s = 2 and a quarter of the row products.  Reversion solves g(f) = x, which
+is linear in g, by forward substitution on the rows k = 1 (mod s) of the
+table of f, each reached from the last by one step by f^s, then checks the
+other-sided identity f(g) = x exactly on a fresh table of g; it hands on
+that table, so g can be composed into another series without a second one.
 exp and log are one integer recurrence in exponential coordinates, E' = u'E,
 solved for E by exp and for u by log.  Division takes whichever coordinates
 keep its integers smaller, per call: long division on OGF numerators, which
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, count
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -152,8 +158,9 @@ def _quotient(an: Sequence[int], bn: Sequence[int], n: int) -> tuple[list[int], 
     return t, p
 
 
-# A power table (s, rows) from _powers: rows of integers in y = x^s.
-_Table = tuple[int, list[tuple[list[int], int]]]
+# A divided-power table (s, d, rows) from _powers: row k holds integers in
+# y = x^s, its term for x^m scaled by d^m.
+_Table = tuple[int, int, list[list[int]]]
 
 
 def _stride(*rows: Sequence) -> int:
@@ -162,40 +169,68 @@ def _stride(*rows: Sequence) -> int:
     return gcd(*chain.from_iterable(compress(count(), r) for r in rows)) or 1
 
 
+def _steps(row: list[int], p: list[int], k: int, t: int, s: int, last: int, n: int) -> list[list[int]]:
+    """Rows k, k + t, k + 2t, ... <= last of a divided-power table, from its
+    row k.  Row j holds integer EGF coefficients at x^m, m = j, j + s, ...
+    <= n, and p those of a series P at x^t, x^(t+s), ...; row j + t is the
+    binomial convolution of row j with P, divided by (j + 1)...(j + t), a
+    division the caller makes exact."""
+    p = p[: max(compress(count(1), p), default=0)]
+    # Term m of a convolution with P weighs row j's term at x^(m-e) by
+    # C(m, e) P_e for e = t + l*s, whatever j is, so each m has one weight
+    # row and each output term is one dot product with the reversed row.
+    need = {(j + t) % s for j in range(k, last - t + 1, t)}
+    w = {
+        m: [comb(m, e) * c for e, c in zip(range(t, m + 1, s), p)]
+        for m in range(k + t, n + 1)
+        if m % s in need
+    }
+    rows = [row]
+    for j in range(k, last - t + 1, t):
+        rr = row[::-1]
+        top, div = len(row) - 1, perm(j + t, t)
+        row = [
+            sum(map(int.__mul__, w[m], rr[top - i :])) // div
+            for i, m in enumerate(range(j + t, n + 1, s))
+        ]
+        rows.append(row)
+    return rows
+
+
 def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> _Table:
-    """The power table (s, rows): rows k = 0..n of g*(f/x)^k through x^(n-k),
-    each as integer numerators over a denominator, content removed; f[0]
-    must be 0.  Row k times x^k is g*f^k through x^n: column k of [g, f], and
-    term k of a composition.  s is the gcd of the exponents of the nonzero
-    terms of g and f/x (1 when there are none), so every row is a series in
-    y = x^s, and row k holds only its coefficients of x^(js), j = 0..(n-k)//s.
-    An odd f with an even g has s = 2, and each product costs a quarter."""
-    fn, fd = _scaled(f[1:], min(len(f), n + 1) - 2)  # unpadded: f = x costs O(n^2)
-    r, d = _scaled(g, n)
-    s = _stride(r, fn)
-    rows = [_content_removed(r[::s], d)]
-    fn = fn[::s]
-    for k in range(n):
-        r, d = rows[k]
-        rows.append(_content_removed(_conv(r, fn, (n - k - 1) // s), d * fd))
-    return s, rows
+    """The divided-power table (s, d, rows) of g and f, g[0] = 1 and
+    f[0] = 0: row k = 0..n holds the EGF coefficients of g f^k / k! at x^m,
+    m = k, k + s, ... <= n, each times d^m.  Row k is column k of [g, f], and
+    times k! it is term k of a composition.  d is the least scale that makes
+    the EGF coefficients of g(d x) and f(d x) integers (1 for integer ones),
+    and then every row is an integer row: the EGF coefficients of f^k / k!
+    are partial Bell polynomials in those of f, so row k + 1, the binomial
+    convolution of row k with f, divides exactly by k + 1.  s is the gcd of
+    the exponents of the nonzero terms of g and f/x (1 when there are none),
+    and row k holds only the terms of x^(k+js): an odd f with an even g has
+    s = 2, and each row costs a quarter."""
+    d = lcm(_egf_scale(g), _egf_scale(f))
+    gs, fs = _egf_scaled(g[: n + 1], d), _egf_scaled(f[: n + 1], d)
+    s = _stride(gs, fs[1:])
+    return s, d, _steps((gs + [0] * (n + 1 - len(gs)))[::s], fs[1::s], 0, 1, s, n, n)
 
 
 def _compose(outer: Sequence[Fraction], table: _Table, n: int) -> list[Fraction]:
     """outer(inner) through x^n, from table = _powers([1], inner, m) with
-    m >= n: sum_k outer_k x^k (inner/x)^k, each row cut at x^(n-k), rows with
-    outer_k = 0 skipped.  As inner[0] == 0, outer above x^n adds nothing."""
-    s, rows = table
+    m >= n: the EGF sum_k (k! outer_k) inner^k / k!, rows with outer_k = 0
+    skipped, then one division by d^m m! per term.  As inner[0] == 0, outer
+    above x^n adds nothing."""
+    s, d, rows = table
     on, od = _scaled(outer, n)
-    d = lcm(*(rows[k][1] for k, c in enumerate(on) if c))
     out = [0] * (n + 1)
+    fact = 1
     for k, c in enumerate(on):
+        fact *= k or 1
         if c:
-            r, dk = rows[k]
-            c *= d // dk
-            for j, v in zip(range(k, n + 1, s), r):
+            c *= fact
+            for j, v in zip(range(k, n + 1, s), rows[k]):
                 out[j] += c * v
-    return [Fraction(v, d * od) for v in out]
+    return _egf_unscaled(out, d, od)
 
 
 def _derive(a: Sequence[Fraction]) -> list[Fraction]:
@@ -262,36 +297,38 @@ def _exp_log(s: Sequence[Fraction], log: bool) -> list[Fraction]:
 
 
 def _revert(f: Sequence[Fraction], n: int) -> tuple[list[Fraction], _Table]:
-    """The compositional inverse g of the order-n jet f, and the power table
+    """The compositional inverse g of the order-n jet f, and the table
     _powers([1], g, n) on which f(g) = x was checked, for composing with g."""
     if f[0] != 0:
         raise ValueError("reversion requires a zero constant term")
     if n < 1 or f[1] == 0:
         raise ValueError("reversion requires an invertible linear coefficient")
-    # g(f) = sum_k g_k x^k (f/x)^k = x is linear in g and lower-triangular
-    # on the powers of f/x, with diagonal f_1^k: forward substitution.  f/x
-    # is h(y) for y = x^s, s the gcd of its exponents, and so is g/x: only
-    # g_j with j = 1 + i*s can be nonzero, and they read only the powers
-    # h^(1 + i*s) = h * (h^s)^i through y^(top - i), top = (n - 1) // s: the
-    # power table of h and y * h^s, in y.  That table's own stride is 1,
-    # because s was divided out of h, so its row i holds y^0, y^1, ... in
-    # turn.  At j = 1 + i*s, acc over d holds the terms x^j, x^(j+s), ... of
-    # sum_{k<j} g_k x^k (f/x)^k - x, d the lcm of their denominators: g_j
-    # cancels the first, the rest moves to the new lcm.
-    s = _stride(f[1:])
-    top = (n - 1) // s
-    h = hs = f[1::s]
-    for _ in range(s - 1):
-        hs = _mul(hs, h, top)
+    # With fs the EGF coefficients of f(d x), d its EGF scale, and q = fs_1,
+    # chi(x) = f(d q x) / q^2 has the integer EGF coefficients 1 and
+    # fs_m q^(m-2), m >= 2.  g(f) = x is chi-bar(chi) = x, linear in the EGF
+    # coefficients B_m of chi-bar: sum_k B_k T_k[m] = [m = 1], with T_k the
+    # divided powers chi^k / k!.  T_m[m] = 1, so forward substitution gives
+    # integer B_m with no division.  f/x is a series in x^s, and so is g/x:
+    # only B_m with m = 1 (mod s) are nonzero, and they read only the rows
+    # k = 1 (mod s), each from the last by one step by chi^s.  Then
+    # f-bar(x) = d q chi-bar(x / q^2).
+    d = _egf_scale(f)
+    fs = _egf_scaled(f[: n + 1], d)
+    q, s = fs[1], _stride(fs[1:])
+    chi, p = [0, 1], 1
+    for v in fs[2:]:
+        chi.append(v * p)
+        p *= q
+    row = chi[1::s]
+    step = row
+    if s > 1:  # chi^s is s! times row s of the table
+        step = [factorial(s) * v for v in _steps(row, row, 1, 1, s, s, n)[-1]]
     g = [Fraction(0)] * (n + 1)
-    acc, d = [-1] + [0] * top, 1
-    for i, (r, dj) in enumerate(_powers(h, [0, *hs[:top]], top)[1]):
-        g[1 + i * s] = c = Fraction(-acc[0] * dj, d * r[0])
-        e = c.denominator * dj
-        m = lcm(d, e)
-        a, b = m // d, c.numerator * (m // e)
-        acc = [a * u + b * v for u, v in zip(acc[1:], r[1:])]
-        d = m
+    acc = [-1] + [0] * ((n - 1) // s)  # the terms of sum_{k<m} B_k T_k - x
+    for m, r in zip(count(1, s), _steps(row, step, 1, s, s, n, n)):
+        b = -acc[0]
+        g[m] = Fraction(d * b, q ** (2 * m - 1) * factorial(m))
+        acc = [u + b * v for u, v in zip(acc[1:], r[1:])]
     # The check reads f(g) = x, the other-sided identity, on a fresh table
     # of g; g and its table are returned only if it holds through x^n.
     table = _powers([1], g, n)

@@ -102,6 +102,50 @@ def test_strided_power_tables_match_naive_oracles(data, order):
     assert (inv.g, inv.f) == (div_by_long_division(one(order), naive_compose(g, fbar)), fbar)
 
 
+@st.composite
+def _planted_pair(draw):
+    """(g, f, s) over rational EGF coefficients: g(0) = 1 and f = x h with
+    h(0) = 1, g a series in x^s and h in x^s, s = 1..4.  The EGF coefficient
+    of x^s in g, of x^(1+s) in f, or both, is planted as u/D with D >= 2
+    prime to u, so the EGF scale of that side is a multiple of D."""
+    s = draw(st.integers(1, 4))
+    order = draw(st.integers(s + 1, 10))
+    den = draw(st.integers(2, 12))
+    planted = draw(st.sampled_from([(s,), (1 + s,), (s, 1 + s)]))
+
+    def side(head: tuple, exps: range) -> Series:
+        egf = dict.fromkeys(range(order + 1), F(0))
+        egf.update(enumerate(head))
+        for e in exps:
+            egf[e] = F(draw(st.integers(-9, 9)), draw(st.sampled_from([1, den])))
+            if e in planted:
+                u = draw(st.integers(1, 9).filter(lambda u: gcd(u, den) == 1))
+                egf[e] = F(draw(st.sampled_from([u, -u])), den)
+        return Series(c / factorial(e) for e, c in egf.items())
+
+    g = side((F(1),), range(s, order + 1, s))
+    return g, side((F(0), F(1)), range(1 + s, order + 1, s)), s
+
+
+@given(gfs=_planted_pair(), uvs=_planted_pair(), r=mixed_rationals.filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_rational_divided_power_tables_match_naive_oracles(gfs, uvs, r):
+    # The divided-power table carries rational input as integer EGF rows
+    # times the scale d^m; the oracles are OGF schoolbook code.
+    (g, f, s), (u, v, _) = gfs, uvs
+    n = g.order
+    u, v = (Series(t.coeffs[: n + 1] + (F(0),) * (n - t.order)) for t in (u, v))
+    found, d, _ = _powers(g.coeffs, f.coeffs, n)
+    assert found % s == 0 and d > 1
+    assert [list(row) for row in build(g, f).matrix.rows] == naive_build(g, f)
+    assert g.compose(f) == naive_compose(g, f)
+    assert u.compose(f) == naive_compose(u, f)
+    ab = multiply(build(g, f), build(u, v))
+    assert (ab.g, ab.f) == (naive_mul(g, naive_compose(u, f)), naive_compose(v, f))
+    assert f.revert() == lagrange_revert(f)
+    assert (f * r).revert() == lagrange_revert(f * r)
+
+
 def test_pascal_triangle():
     arr = build(*pair("pascal", 8))
     for n in range(9):

@@ -310,24 +310,25 @@ def test_revert_preconditions():
 
 
 def test_revert_nonconvergence_is_a_domain_error(monkeypatch):
-    # A wrong entry in the power table of f, which the forward substitution
-    # reads, gives a wrong g; the exact check f(g) = x on a fresh table of g
-    # reports that as an arithmetic failure, not as a failed internal assert.
-    # The group inverse and (Z, A) compose g with fbar through the power table
-    # that check built, so they must fail the same way, not use the table.
+    # A wrong entry in the divided-power rows of f that the forward
+    # substitution reads gives a wrong g; the exact check f(g) = x on a fresh
+    # table of g reports that as an arithmetic failure, not as a failed
+    # internal assert.  The group inverse and (Z, A) compose g with fbar
+    # through the table that check built, so they must fail the same way,
+    # not use the table.
     mod = importlib.import_module("expriordan.series")
     f = sin_series(8)
     arr = build(sech_series(8), f)
-    powers = mod._powers
+    steps = mod._steps
 
-    def perturbed(g, inner, n):
-        s, rows = powers(g, inner, n)
-        if list(g) != [1]:  # the powers of f/x; the check's table of g is left intact
-            r, d = rows[1]  # sin has s = 2: (f/x)^3 in y = x^2, r holds x^3, x^5, x^7
-            rows[1] = ([r[0], r[1] + 1, *r[2:]], d)
-        return s, rows
+    def perturbed(row, p, k, t, s, last, n):
+        rows = steps(row, p, k, t, s, last, n)
+        if (k, t) == (1, s):  # the solve's rows k = 1 (mod s); the check's table starts at 0
+            r = rows[1]  # sin has s = 2: f^3/3!, whose terms are x^3, x^5, x^7
+            rows[1] = [r[0], r[1] + 1, *r[2:]]
+        return rows
 
-    monkeypatch.setattr(mod, "_powers", perturbed)
+    monkeypatch.setattr(mod, "_steps", perturbed)
     for call in (f.revert, lambda: inverse(arr), lambda: za_sequences(arr.g, arr.f)):
         with pytest.raises(ArithmeticError, match=r"^reversion failed its exact check f\(g\) = x$"):
             call()

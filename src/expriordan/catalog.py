@@ -181,11 +181,6 @@ def _gompertz_g(order: int) -> Series:
     return exp_series(u - x(order))
 
 
-def _gompertz_inverse_g(order: int) -> Series:
-    w = log1p_series(order)
-    return 1 / (_poly([1, 1], order) * (1 - w))
-
-
 def _gompertz_inverse_f(order: int) -> Series:
     return -log_series(1 - log1p_series(order))
 
@@ -269,7 +264,7 @@ _register(
         g_label="sech^2(x)",
         f_label="tanh(x)",
         notes="rescaled logistic; both production routes tridiagonal",
-        g_series=lambda n: 1 - tanh_series(n) ** 2,
+        g_series=lambda n: tanh_series(n + 1).derive(),
         f_eval=math.tanh,
         fprime_eval=lambda t: _sech_power(t, 2),
         inverse_g=lambda n: _geom_x2(1, n),
@@ -286,7 +281,7 @@ _register(
         g_label="sech^2(2x)",
         f_label="tanh(2x)/2",
         notes="argument-doubled variant of tanh; entries scale by 2^(n-k)",
-        g_series=lambda n: 1 - tanh_series(n).scale_argument(2) ** 2,
+        g_series=lambda n: (tanh_series(n + 1).scale_argument(2) / 2).derive(),
         f_eval=lambda t: 0.5 * math.tanh(2.0 * t),
         fprime_eval=lambda t: _sech_power(2.0 * t, 2),
         inverse_g=lambda n: _geom_x2(4, n),
@@ -306,7 +301,7 @@ _register(
         g_series=lambda n: _geom_x2(-1, n),
         f_eval=math.atan,
         fprime_eval=lambda t: 1.0 / (1.0 + t * t),
-        inverse_g=lambda n: sec_series(n) ** 2,
+        inverse_g=lambda n: tan_series(n + 1).derive(),
         inverse_f=tan_series,
         a_closed=lambda n: cos_series(n) ** 2,
         z_closed=lambda n: -sin_series(n).scale_argument(2),
@@ -387,7 +382,7 @@ _register(
         g_series=_gompertz_g,
         f_eval=_gompertz_f,
         fprime_eval=_gompertz_fprime,
-        inverse_g=_gompertz_inverse_g,
+        inverse_g=lambda n: _gompertz_inverse_f(n + 1).derive(),
         inverse_f=_gompertz_inverse_f,
         a_closed=_gompertz_a,
         z_closed=lambda n: -log1p_series(n),
@@ -403,7 +398,7 @@ _register(
         g_series=cos_series,
         f_eval=math.sin,
         fprime_eval=math.cos,
-        inverse_g=lambda n: pow_rational(_poly([1, 0, -1], n), Fraction(-1, 2)),
+        inverse_g=lambda n: arcsin_series(n + 1).derive(),
         inverse_f=arcsin_series,
         a_closed=lambda n: pow_rational(_poly([1, 0, -1], n), Fraction(1, 2)),
         z_closed=lambda n: -pow_rational(_poly([1, 0, -1], n), Fraction(-1, 2)).times_x(),

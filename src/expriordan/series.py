@@ -20,10 +20,11 @@ is linear in g, by forward substitution on the rows k = 1 (mod s) of the
 table of f, each reached from the last by one step by f^s, then checks the
 other-sided identity f(g) = x exactly on a fresh table of g; it hands on
 that table, so g can be composed into another series without a second one.
-exp and log are one integer recurrence in exponential coordinates, E' = u'E,
-solved for E by exp and for u by log.  Division takes whichever coordinates
-keep its integers smaller, per call: long division on OGF numerators, which
-scales by (common denominator of b)^n, or the EGF recurrence
+exp is the integer recurrence E' = u'E in exponential coordinates.  Division
+and log share one EGF quotient, as (log s)' = s'/s and in EGF coordinates s'
+is s shifted one place.  Division takes whichever coordinates keep its
+integers smaller, per call: long division on OGF numerators, which scales by
+(common denominator of b)^n, or the EGF quotient
 A_m = sum_j C(m, j) Q_j B_(m-j), which scales by D^m * m!.  The sigmoids'
 divisors cosh and cos have OGF denominators m! but EGF coefficients 1, 0,
 +-1, 0, ..., so at large order they take the EGF loop; an integer divisor
@@ -79,11 +80,11 @@ __all__ = [
 
 
 def _scaled(a: Sequence[Fraction], n: int) -> tuple[list[int], int]:
-    """Integer numerators of ``a`` through x^n, zero-padded to n + 1 terms,
-    over the lcm of their denominators."""
+    """Integer numerators of ``a`` through x^n over the lcm of their
+    denominators; ``a`` reaches x^n."""
     a = a[: n + 1]
     den = lcm(*(c.denominator for c in a))
-    return [c.numerator * (den // c.denominator) for c in a] + [0] * (n + 1 - len(a)), den
+    return [c.numerator * (den // c.denominator) for c in a], den
 
 
 def _content_removed(r: list[int], d: int) -> tuple[list[int], int]:
@@ -93,12 +94,9 @@ def _content_removed(r: list[int], d: int) -> tuple[list[int], int]:
 
 
 def _conv(a: list[int], b: list[int], n: int) -> list[int]:
-    """Integer product of two coefficient lists, truncated after x^n; b may be short."""
-    a = a[: n + 1] + [0] * (n + 1 - len(a))
-    rb = b[: n + 1][::-1]
-    m = len(rb) - 1
-    head = [sum(map(int.__mul__, a[: k + 1], rb[m - k :])) for k in range(min(m, n + 1))]
-    return head + [sum(map(int.__mul__, a[k - m : k + 1], rb)) for k in range(max(m, 0), n + 1)]
+    """Integer product of two coefficient lists that reach x^n, truncated after x^n."""
+    rb = b[n::-1]  # b[n], ..., b[0]
+    return [sum(map(int.__mul__, a, rb[n - k :])) for k in range(n + 1)]
 
 
 def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
@@ -109,7 +107,7 @@ def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
 
 
 def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    if not b or b[0] == 0:
+    if b[0] == 0:
         raise ZeroDivisionError("division by a series with zero constant term")
     an, ad = _scaled(a, n)
     bn, bd = _scaled(b, n)
@@ -123,24 +121,29 @@ def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
     # past the margin.
     ogf_bits = n * bd.bit_length() + ad.bit_length()
     if ogf_bits > 2048 and b[0] == 1:
-        a = [*a[: n + 1], *[Fraction(0)] * (n + 1 - len(a))]
-        b = [*b[: n + 1], *[Fraction(0)] * (n + 1 - len(b))]
         d, e = lcm(_egf_scale(a), _egf_scale(b)), a[0].denominator
         egf_bits = n * d.bit_length() + e.bit_length() + factorial(n).bit_length()
         if ogf_bits > 2 * egf_bits + 2048:
-            # With A_m, B_m, Q_m the EGF coefficients of a, b and a/b times
-            # e * D^m (so B_0 = 1), A_m = sum_{j<=m} C(m, j) Q_j B_(m-j).
-            q: list[int] = []
-            rb = _egf_scaled(b, d)[::-1]
-            row = [1]  # C(m, j) for j = 0..m
-            for m, am in enumerate(_egf_scaled(a, d)):
-                qb = map(int.__mul__, q, rb[n - m : n])
-                q.append(am - sum(map(int.__mul__, qb, row)))
-                row = [1, *map(int.__add__, row, row[1:]), 1]
-            return _egf_unscaled(q, d, e)
+            # The EGF coefficients of a, b and a/b times e * D^m (so B_0 = 1).
+            return _egf_unscaled(_egf_quotient(_egf_scaled(a, d), _egf_scaled(b, d)), d, e)
     t, p = _quotient(an, bn, n)
     d = ad * p
     return [Fraction(v * bd, d) for v in t]
+
+
+def _egf_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The integer row q with a = q * b in EGF coordinates,
+    a_m = sum_{j<=m} C(m, j) q_j b_(m-j), for integer rows a and b of one
+    length with b_0 = 1.  b is read only through its degree, so a sparse
+    divisor such as 1 + x^2 costs a few products a term, not m."""
+    bs = b[1 : max(compress(count(), b), default=0) + 1]  # b_1, ..., b_deg
+    q: list[int] = []
+    row: list[int] = []  # C(m, i) for i = 1..m
+    for am in a:
+        qb = map(int.__mul__, reversed(q), bs)  # q_(m-i) b_i, i = 1..min(m, deg)
+        q.append(am - sum(map(int.__mul__, qb, row)))
+        row = [*map(int.__add__, row, [1, *row]), 1]
+    return q
 
 
 def _quotient(an: Sequence[int], bn: Sequence[int], n: int) -> tuple[list[int], int]:
@@ -271,29 +274,22 @@ def _egf_unscaled(v: Sequence[int], d: int, e: int = 1) -> list[Fraction]:
     return out
 
 
-def _exp_log(s: Sequence[Fraction], log: bool) -> list[Fraction]:
-    # With a_j = j! u_j and e_m = m! [x^m] exp(u), E' = u'E reads
-    # e_m = sum_{j=1..m} C(m-1, j-1) a_j e_{m-j} with e_0 = 1.  Scaled by D^m,
-    # X_j = D^j a_j and Y_m = D^m e_m are integers under the same relation,
-    # Y_m = X_m + sum_{j=1..m-1} C(m-1, j-1) X_j Y_{m-j}.  exp solves it for
-    # Y given X (u = s, u_0 = 0); log solves it for X given Y (s_0 = 1).
-    d = _egf_scale(s)
-    known = _egf_scaled(s, d)
-    n = len(known) - 1
-    deg = max((m for m, v in enumerate(known) if v), default=0)
-    # X_j vanishes for j > dx and Y_i for i > dy, so those terms are skipped.
-    xs, dx, ys, dy = ([0], n, known, deg) if log else (known, deg, [1], n)
+def _exp(u: Sequence[Fraction]) -> list[Fraction]:
+    """exp(u) for u_0 = 0.  With a_j = j! u_j and e_m = m! [x^m] exp(u),
+    E' = u'E reads e_m = sum_{j=1..m} C(m-1, j-1) a_j e_(m-j), e_0 = 1, and
+    scaled by D^m, X_j = D^j a_j and Y_m = D^m e_m are integers under the
+    same relation.  X_j vanishes above the degree of u, so those terms are
+    skipped."""
+    d = _egf_scale(u)
+    xs = _egf_scaled(u, d)
+    xs = xs[1 : max(compress(count(), xs), default=0) + 1]  # X_1, ..., X_deg
+    ys = [1]
     row = [1]  # C(m-1, j-1) for j = 1..m
-    for m in range(1, n + 1):
-        lo, hi = max(1, m - dy), min(m, dx + 1)
-        xy = map(int.__mul__, xs[lo:hi], ys[m - lo : m - hi : -1])
-        t = sum(map(int.__mul__, xy, row[lo - 1 :]))
-        if log:
-            xs.append(ys[m] - t)
-        else:
-            ys.append(xs[m] + t)
+    for _ in range(1, len(u)):
+        xy = map(int.__mul__, xs, reversed(ys))  # X_j Y_(m-j), j = 1..min(m, deg)
+        ys.append(sum(map(int.__mul__, xy, row)))
         row = [1, *map(int.__add__, row, row[1:]), 1]
-    return _egf_unscaled(xs if log else ys, d)
+    return _egf_unscaled(ys, d)
 
 
 def _revert(f: Sequence[Fraction], n: int) -> tuple[list[Fraction], _Table]:
@@ -470,19 +466,9 @@ class Series(_Frozen):
             raise ValueError("integer power must be a non-negative int; see pow_rational")
         if k == 0:
             return one(self.order)
-        # Square up to the lowest set bit, then once per higher bit: s ** 2
-        # is one product.
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        out = base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                out = out * base
-            k >>= 1
+        out = self
+        for _ in range(k - 1):
+            out = out * self
         return out
 
     # -- calculus and composition --------------------------------------------
@@ -576,14 +562,19 @@ def exp_series(s: Series) -> Series:
     """exp of a series with zero constant term."""
     if s.coeffs[0] != 0:
         raise ValueError("exp requires a zero constant term")
-    return Series(tuple(_exp_log(s.coeffs, log=False)))
+    return Series(tuple(_exp(s.coeffs)))
 
 
 def log_series(s: Series) -> Series:
     """log of a series with constant term 1."""
     if s.coeffs[0] != 1:
         raise ValueError("log requires constant term 1")
-    return Series(tuple(_exp_log(s.coeffs, log=True)))
+    # (log s)' = s'/s, and in EGF coordinates s' is s shifted one place: the
+    # EGF coefficients of log s after the first are the EGF quotient of
+    # (Y_1, ..., Y_n) by (Y_0, ..., Y_(n-1)), Y those of s.
+    d = _egf_scale(s.coeffs)
+    y = _egf_scaled(s.coeffs, d)
+    return Series(tuple(_egf_unscaled([0, *_egf_quotient(y[1:], y[:-1])], d)))
 
 
 def pow_rational(s: Series, r: Union[Scalar, str]) -> Series:

@@ -327,7 +327,7 @@ def test_tanh_pairs_expand_tanh_once(eid, monkeypatch):
 
     monkeypatch.setattr(catalog, "tanh_series", counted)
     pair(eid, 12)
-    assert orders == [12]
+    assert orders == [13]
 
 
 def test_gudermann_pair_makes_no_composition(monkeypatch):

@@ -242,6 +242,34 @@ def test_integer_long_division_matches_long_division(data, n):
     assert tuple(F(v, p) for v in t) == want.coeffs
 
 
+_sparse_ints = st.one_of(st.just(0), st.integers(-50, 50))
+
+
+@given(data=st.data(), n=st.integers(min_value=0, max_value=12))
+@settings(max_examples=150, deadline=None)
+def test_egf_quotient_matches_long_division(data, n):
+    # The EGF quotient that _div and log share reads its divisor only
+    # through its degree: divisors of every degree 0..n, with interior zeros.
+    deg = data.draw(st.integers(0, n))
+    a = data.draw(st.lists(_sparse_ints, min_size=n + 1, max_size=n + 1))
+    mid = data.draw(st.lists(_sparse_ints, min_size=max(deg - 1, 0), max_size=max(deg - 1, 0)))
+    top = [data.draw(st.integers(-50, 50).filter(bool))] if deg else []
+    b = [1, *mid, *top] + [0] * (n - deg)
+    q = importlib.import_module("expriordan.series")._egf_quotient(a, b)
+    assert all(type(v) is int for v in q)
+    assert from_egf(q) == div_by_long_division(from_egf(a), from_egf(b))
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=24))
+@settings(max_examples=100, deadline=None)
+def test_log_of_sparse_polynomial_matches_integration(data, n):
+    # log(1 + c x^k) reaches the EGF quotient with a divisor of degree k.
+    k = data.draw(st.integers(1, n))
+    c = data.draw(mixed_rationals.filter(bool))
+    s = series([1, *[0] * (k - 1), c], order=n)
+    assert log_series(s).coeffs == log_by_integration(s).coeffs
+
+
 # ---------------------------------------------------------------------------
 # composition and reversion
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ h_n vanish).  It also times ``exp_series`` of 1 - e^(-x) and ``log_series``
 of 1 - log(1 + x), the series of the ``gompertz`` entry, ``pow_rational``
 (1 + x^2)^(-3/2), the g of ``algebraic``, ``catalog.pair`` of ``gompertz``
 and of ``algebraic``, and three series divisions (``div``, the entry column
-naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2), whose integer
-divisor keeps the OGF loop.  At orders 24, 48 and 128 it times the catalog
+naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2), all three by
+OGF long division.  At orders 24, 48 and 128 it times the catalog
 jets: ``pair`` of every entry and
 ``inverse_pair`` of ``arctan``.  At orders 64 and 128 it times ``revert``,
 ``inverse``, ``za_sequences``, ``build`` and ``multiply`` (of the array with

@@ -24,9 +24,9 @@ from math import comb, factorial
 from typing import Callable, Optional
 
 from .production import JacobiParams, ZAPair
-from .riordan import _inverse_pair
 from .series import (
     Series,
+    _egf_quotient,
     _Frozen,
     exp_series,
     from_egf,
@@ -68,20 +68,28 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# The integer EGF rows of sin, cos, sinh and cosh repeat with these periods.
+_SIN, _COS, _SINH, _COSH = (0, 1, 0, -1), (1, 0, -1, 0), (0, 1), (1, 0)
+
+
+def _periodic(period: tuple[int, ...], order: int) -> list[int]:
+    return [period[k % len(period)] for k in range(order + 1)]
+
+
 def sin_series(order: int) -> Series:
-    return from_egf([(0, 1, 0, -1)[k % 4] for k in range(order + 1)])
+    return from_egf(_periodic(_SIN, order))
 
 
 def cos_series(order: int) -> Series:
-    return from_egf([(1, 0, -1, 0)[k % 4] for k in range(order + 1)])
+    return from_egf(_periodic(_COS, order))
 
 
 def sinh_series(order: int) -> Series:
-    return from_egf([k % 2 for k in range(order + 1)])
+    return from_egf(_periodic(_SINH, order))
 
 
 def cosh_series(order: int) -> Series:
-    return from_egf([1 - k % 2 for k in range(order + 1)])
+    return from_egf(_periodic(_COSH, order))
 
 
 def expx_series(order: int, scale: int = 1) -> Series:
@@ -90,19 +98,19 @@ def expx_series(order: int, scale: int = 1) -> Series:
 
 
 def tan_series(order: int) -> Series:
-    return sin_series(order) / cos_series(order)
+    return from_egf(_egf_quotient(_periodic(_SIN, order), _periodic(_COS, order)))
 
 
 def sec_series(order: int) -> Series:
-    return 1 / cos_series(order)
+    return from_egf(_egf_quotient([1] + [0] * order, _periodic(_COS, order)))
 
 
 def tanh_series(order: int) -> Series:
-    return sinh_series(order) / cosh_series(order)
+    return from_egf(_egf_quotient(_periodic(_SINH, order), _periodic(_COSH, order)))
 
 
 def sech_series(order: int) -> Series:
-    return 1 / cosh_series(order)
+    return from_egf(_egf_quotient([1] + [0] * order, _periodic(_COSH, order)))
 
 
 def _ogf(term: Callable[[int], Fraction | int], order: int) -> Series:
@@ -447,13 +455,14 @@ def pair(entry_id: str, order: int) -> tuple[Series, Series]:
 
 
 def inverse_pair(entry_id: str, order: int) -> tuple[Series, Series]:
-    """(g, f) of the inverse array: the entry's stated closed forms, else the
-    group inverse of :func:`pair`, reverted at order 1 at least."""
+    """(g, f) of the inverse array: the entry's stated closed forms, else
+    [fbar', fbar], the inverse of [f', f] in the derivative subgroup, with
+    fbar reverted from f one order higher."""
     e = entry(entry_id)
     if e.inverse_g is not None:
         return e.inverse_g(order), e.inverse_f(order)
-    g, f = _inverse_pair(*pair(entry_id, max(order, 1)))
-    return g.truncate(order), f.truncate(order)
+    fbar = pair(entry_id, order + 1)[1].revert()
+    return fbar.derive(), fbar.truncate(order)
 
 
 def za_closed_form(entry_id: str, order: int) -> Optional[ZAPair]:

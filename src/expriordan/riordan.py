@@ -271,15 +271,10 @@ def multiply(a: ExpRiordan, b: ExpRiordan) -> ExpRiordan:
     return build(a.g * u, v)
 
 
-def _inverse_pair(g: Series, f: Series) -> tuple[Series, Series]:
-    """The pair (1/g(fbar), fbar) of [g, f]^-1, fbar = f.revert(), with no matrix."""
-    fbar, g_fbar = _revert_compose(g, f)
-    return 1 / g_fbar, fbar
-
-
 def inverse(a: ExpRiordan) -> ExpRiordan:
     """Group inverse: [1/g(fbar), fbar] with fbar the compositional inverse."""
-    return build(*_inverse_pair(a.g, a.f))
+    fbar, g_fbar = _revert_compose(a.g, a.f)
+    return build(1 / g_fbar, fbar)
 
 
 def row_polynomials(a: ExpRiordan) -> tuple[tuple[Fraction, ...], ...]:

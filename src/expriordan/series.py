@@ -21,14 +21,12 @@ table of f, each reached from the last by one step by f^s, then checks the
 other-sided identity f(g) = x exactly on a fresh table of g; it hands on
 that table, so g can be composed into another series without a second one.
 exp is the integer recurrence E' = u'E in exponential coordinates.  Division
-and log share one EGF quotient, as (log s)' = s'/s and in EGF coordinates s'
-is s shifted one place.  Division takes whichever coordinates keep its
-integers smaller, per call: long division on OGF numerators, which scales by
-(common denominator of b)^n, or the EGF quotient
-A_m = sum_j C(m, j) Q_j B_(m-j), which scales by D^m * m!.  The sigmoids'
-divisors cosh and cos have OGF denominators m! but EGF coefficients 1, 0,
-+-1, 0, ..., so at large order they take the EGF loop; an integer divisor
-such as 1 - x - x^2 keeps the OGF loop, where m! would only add bits.
+``a / b`` is long division on OGF numerators, scaled by (common denominator
+of b)^n.  The one EGF quotient, A_m = sum_j C(m, j) Q_j B_(m-j) on integer
+rows, serves callers whose operands are EGF rows already: log, as
+(log s)' = s'/s and in EGF coordinates s' is s shifted one place, and the
+catalog's tan, sec, tanh and sech, quotients of the integer EGF rows of sin,
+cos, sinh and cosh.
 
 Binary operations require operands of equal order -- mixing orders would
 silently discard precision, so it raises instead.  Equality is strict too:
@@ -111,21 +109,6 @@ def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
         raise ZeroDivisionError("division by a series with zero constant term")
     an, ad = _scaled(a, n)
     bn, bd = _scaled(b, n)
-    # Coordinates by size.  For b_0 = 1 the OGF loop below carries q_k times
-    # bd^n * ad, and the EGF loop carries q_m times e * D^m * m!, with D the
-    # EGF scale of a and b and e the denominator of a_0.  An EGF step makes
-    # two products a term and a Pascal row, so it pays only once the OGF
-    # scale's bits pass twice the EGF scale's at m = n by a margin of 2048
-    # bits; the two loops tie on sinh/cosh at order 24 (1995 OGF bits against
-    # 105) and EGF is 1.4x faster at 32.  D is computed only for an OGF scale
-    # past the margin.
-    ogf_bits = n * bd.bit_length() + ad.bit_length()
-    if ogf_bits > 2048 and b[0] == 1:
-        d, e = lcm(_egf_scale(a), _egf_scale(b)), a[0].denominator
-        egf_bits = n * d.bit_length() + e.bit_length() + factorial(n).bit_length()
-        if ogf_bits > 2 * egf_bits + 2048:
-            # The EGF coefficients of a, b and a/b times e * D^m (so B_0 = 1).
-            return _egf_unscaled(_egf_quotient(_egf_scaled(a, d), _egf_scaled(b, d)), d, e)
     t, p = _quotient(an, bn, n)
     d = ad * p
     return [Fraction(v * bd, d) for v in t]
@@ -581,7 +564,4 @@ def pow_rational(s: Series, r: Union[Scalar, str]) -> Series:
     """s**r for rational r, as exp(r*log(s)); requires constant term 1."""
     if s.coeffs[0] != 1:
         raise ValueError("rational power requires constant term 1")
-    r = Fraction(r)
-    if r == 0:
-        return one(s.order)
-    return exp_series(log_series(s) * r)
+    return exp_series(log_series(s) * Fraction(r))

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the implementation paths it
 checks: reversion is cross-checked by Lagrange inversion over schoolbook
-products; series division by schoolbook long division over Fractions, where
-the library picks OGF or EGF integer coordinates by the operands' sizes; exp
+products; series division and the catalog's tan, sec, tanh and sech by
+schoolbook long division over Fractions, where the library runs long
+division on integer OGF numerators and the catalog the EGF quotient; exp
 by the ordinary-coefficient recurrence and log by long division and
 integration, where the library runs both on one integer recurrence in EGF
 coordinates; arrays, composition and the analytic production matrix by

@@ -2,7 +2,9 @@ import importlib
 import math
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 from helpers import (
     NON_SIGMOID_IDS,
     STATED_F,
@@ -112,6 +114,16 @@ def test_stated_inverse_pairs():
             assert computed == stated, (eid, n)
 
 
+def test_computed_inverses_lie_in_the_derivative_subgroup():
+    # inverse_pair takes [fbar', fbar] for an entry with no stated inverse,
+    # which holds only for an entry [f', f]: one that states no f.
+    for eid in ids():
+        if entry(eid).inverse_g is None:
+            assert entry(eid).f_series is None, eid
+    assert entry("pascal").f_series is not None
+    assert entry("pascal").inverse_g is not None
+
+
 def test_order_zero_pairs():
     for eid in ids():
         for g, f in (pair(eid, 0), inverse_pair(eid, 0)):
@@ -120,8 +132,9 @@ def test_order_zero_pairs():
 
 @pytest.mark.parametrize("n", [0, 1, 8, 24])
 def test_erf_inverse_pair_against_lagrange(n):
-    # erf states no inverse; inverse_pair reverts f.  Oracle: Lagrange
-    # inversion and the schoolbook composition, at order 1 at least.
+    # erf states no inverse; inverse_pair reverts f and returns [fbar', fbar].
+    # Oracle: the group inverse [1/g(fbar), fbar] by Lagrange inversion and
+    # the schoolbook composition, at order 1 at least.
     m = max(n, 1)
     fbar = lagrange_revert(erf_integral_series(m))
     gbar = div_by_long_division(one(m), naive_compose(catalog.gauss_series(m), fbar))
@@ -345,9 +358,25 @@ def test_gudermann_pair_makes_no_composition(monkeypatch):
     assert len(calls) == 1
 
 
+@given(order=st.integers(min_value=0, max_value=40))
+@example(order=0)
+@example(order=1)
+@settings(max_examples=30, deadline=None)
+def test_catalog_quotients_match_long_division(order):
+    unit = one(order)
+    for quotient, a, b in (
+        (catalog.tan_series, sin_series(order), cos_series(order)),
+        (catalog.sec_series, unit, cos_series(order)),
+        (catalog.tanh_series, sinh_series(order), cosh_series(order)),
+        (catalog.sech_series, unit, cosh_series(order)),
+    ):
+        assert quotient(order) == div_by_long_division(a, b), quotient.__name__
+
+
 def test_catalog_quotients_at_order_128():
-    # At order 128 these quotients take the EGF loop; the oracle is long
-    # division over Fractions of the same operands.
+    # The catalog's quotients at order 128, where their integer EGF rows
+    # are far smaller than the OGF ones; the oracle is long division over
+    # Fractions of the same operands.
     n = 128
     t = div_by_long_division(sinh_series(n), cosh_series(n))
     assert pair("tanh", n) == (1 - naive_mul(t, t), t)

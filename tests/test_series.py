@@ -31,6 +31,7 @@ from expriordan.series import (
     series,
     x,
 )
+from expriordan import catalog
 from expriordan.catalog import (
     artanh_series,
     cos_series,
@@ -191,40 +192,48 @@ def test_division_matches_long_division(data, order):
     _check_division(data.draw(_dividends(order)), data.draw(_divisors(order)))
 
 
-# From about order 26 the factorial-denominator divisors take the EGF loop.
+# Higher orders, where the OGF scales of the factorial-denominator divisors
+# run to thousands of bits.
 @given(data=st.data(), order=st.integers(min_value=25, max_value=48))
 @settings(max_examples=25, deadline=None)
 def test_division_matches_long_division_at_higher_orders(data, order):
     _check_division(data.draw(_dividends(order)), data.draw(_divisors(order)))
 
 
-def test_division_coordinates_follow_operand_sizes(monkeypatch):
-    # The EGF loop is the only caller of _egf_scaled in a division; it is
-    # taken for cosh- and cos-like divisors at large order, and never for an
-    # integer polynomial, for b_0 != 1 or at small order.
+def test_division_routing(monkeypatch):
+    # `/` is OGF long division for every divisor, the EGF-natural ones too;
+    # the catalog's quotients take the EGF quotient once and never `/`.
     mod = importlib.import_module("expriordan.series")
-    scaled, calls = mod._egf_scaled, []
+    calls = []
 
-    def counted(a, d):
-        calls.append(len(a))
-        return scaled(a, d)
+    def count(module, name):
+        kernel = getattr(module, name)
 
-    monkeypatch.setattr(mod, "_egf_scaled", counted)
-    gompertz = [series([1, 1], order=n) * (1 - log1p_series(n)) for n in (24, 64)]
+        def counted(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(mod, "_div")
+    count(mod, "_egf_quotient")
+    count(catalog, "_egf_quotient")
+    gompertz = series([1, 1], order=64) * (1 - log1p_series(64))
     cases = [
-        (sinh_series(64), cosh_series(64), True),
-        (F(1, 3) + sinh_series(64), cosh_series(64), True),  # e = 3
-        (one(64), cos_series(64), True),
-        (one(64), gompertz[1], True),
-        (one(24), gompertz[0], False),
-        (sinh_series(8), cosh_series(8), False),
-        (sinh_series(64), 2 * cosh_series(64), False),
-        (one(64), series([1, -1, -1], order=64), False),
+        (sinh_series(64), cosh_series(64)),
+        (F(1, 3) + sinh_series(64), cosh_series(64)),
+        (one(64), cos_series(64)),
+        (one(64), gompertz),
+        (one(64), series([1, -1, -1], order=64)),
     ]
-    for a, b, egf in cases:
+    for a, b in cases:
         calls.clear()
         assert (a / b).coeffs == div_by_long_division(a, b).coeffs
-        assert bool(calls) == egf, (a.order, b.coeffs[:3])
+        assert calls == ["_div"], b.coeffs[:3]
+    for quotient in (catalog.tan_series, catalog.sec_series, tanh_series, sech_series):
+        calls.clear()
+        quotient(64)
+        assert calls == ["_egf_quotient"], quotient.__name__
 
 
 @given(data=st.data(), n=st.integers(min_value=0, max_value=12))
@@ -248,8 +257,9 @@ _sparse_ints = st.one_of(st.just(0), st.integers(-50, 50))
 @given(data=st.data(), n=st.integers(min_value=0, max_value=12))
 @settings(max_examples=150, deadline=None)
 def test_egf_quotient_matches_long_division(data, n):
-    # The EGF quotient that _div and log share reads its divisor only
-    # through its degree: divisors of every degree 0..n, with interior zeros.
+    # The EGF quotient that log and the catalog's quotients share reads its
+    # divisor only through its degree: divisors of every degree 0..n, with
+    # interior zeros.
     deg = data.draw(st.integers(0, n))
     a = data.draw(st.lists(_sparse_ints, min_size=n + 1, max_size=n + 1))
     mid = data.draw(st.lists(_sparse_ints, min_size=max(deg - 1, 0), max_size=max(deg - 1, 0)))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the series, array and orthopoly layers at fixed jet orders; write BENCH_21.json.
+"""Time the series, array and orthopoly layers at fixed jet orders; write a BENCH_*.json.
 
-Usage: python scripts/bench_layers.py [--src DIR] [--label NAME]
+Usage: python scripts/bench_layers.py OUT [--src DIR] [--label NAME]
 
 At n = 8, 16, 24, 32 and 64 it times ``revert``, ``compose`` (f with its inverse),
 ``build``, ``inverse``, ``za_sequences``, ``multiply``,
@@ -11,23 +11,26 @@ with itself) on the catalog entry ``algebraic``, whose odd f and even g make
 power tables in x^2.  It times ``revert``, ``build``, ``inverse``,
 ``multiply`` and ``za_sequences`` on ``gompertz`` too, whose f and g have
 terms at every exponent, so its tables stay in x.  On the ``tanh`` entry's
-Jacobi recurrence it times ``coefficient_array`` of degree n, ``moments``
+Jacobi parameters it times ``recurrence_from_jacobi`` for P_0..P_n, and on
+their recurrence ``coefficient_array`` of degree n, ``moments``
 m_0..m_n, ``cf_to_ogf`` at depth n and order 2n, and ``hankel_transform``
 h_0..h_{n/2} and ``jfraction`` at depth n/2 of those moments.  On the EGFs
 of the same entry it times ``hankel_transform_g_egf`` (h_0..h_n of sech^2,
 no vanishing minor), ``jfraction_g_egf`` (depth n of sech^2) and
 ``hankel_transform_f_egf`` (h_0..h_n of tanh, whose m_0 = 0 and every even
-h_n vanish).  It also times ``exp_series`` of 1 - e^(-x) and ``log_series``
-of 1 - log(1 + x), the series of the ``gompertz`` entry, ``pow_rational``
-(1 + x^2)^(-3/2), the g of ``algebraic``, ``catalog.pair`` of ``gompertz``
-and of ``algebraic``, and three series divisions (``div``, the entry column
+h_n vanish), and ``egf`` of the entry's g.  It also times ``exp_series`` of
+1 - e^(-x) and ``log_series`` of 1 - log(1 + x), the series of the
+``gompertz`` entry, ``pow_rational`` (1 + x^2)^(-3/2), the g of
+``algebraic``, ``catalog.pair`` of ``gompertz`` and of ``algebraic``, and
+three series divisions (``div``, the entry column
 naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2), all three by
 OGF long division.  At orders 24, 48 and 128 it times the catalog
-jets: ``pair`` of every entry and
-``inverse_pair`` of ``arctan``.  At orders 64 and 128 it times ``revert``,
-``inverse``, ``za_sequences``, ``build`` and ``multiply`` (of the array with
-itself) on every catalog entry (those at 64 on ``algebraic`` and
-``gompertz`` are the rows above).  Last, it times
+jets: ``pair`` of every entry, ``inverse_pair`` of ``arctan``, and the four
+EGF quotients ``tan_series``, ``sec_series``, ``tanh_series`` and
+``sech_series`` (the entry column naming the operands).  At orders 64 and
+128 it times ``revert``, ``inverse``, ``za_sequences``, ``build`` and
+``multiply`` (of the array with itself) on every catalog entry (those at 64
+on ``algebraic`` and ``gompertz`` are the rows above).  Last, it times
 start-up (``startup``): fresh interpreters running ``python -c "import
 expriordan.cli"`` and ``python -m expriordan list`` against ``--src`` with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each compiles the package from source
@@ -41,9 +44,9 @@ a busy machine can only raise, is recorded with the number of calls and
 the largest numerator or denominator bit-length in the result, as
 ``perfbench/results.py`` counts it.  A start-up
 row is the least wall time of 20 processes; it has no order or bit-length.
-The numbers go under ``runs[NAME]`` of BENCH_21.json at the repository root
-and other labels are kept, so the numbers of two source trees (say, a parent
-commit's ``src`` and this one's, run in turn) sit side by side.
+The numbers go under ``runs[NAME]`` of the JSON file OUT, and other labels
+in it are kept, so the numbers of two source trees (say, a parent commit's
+``src`` and this one's, run in turn) sit side by side.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ JACOBI_ENTRY = "tanh"
 EXP_ENTRY = "gompertz"
 ORDERS = (8, 16, 24, 32, 64)
 PAIR_ORDERS = (24, 48, 128)
+QUOTIENTS = {
+    "tan_series": "sin/cos",
+    "sec_series": "1/cos",
+    "tanh_series": "sinh/cosh",
+    "sech_series": "1/cosh",
+}
 REVERT_ORDERS = (64, 128)
 ROUNDS = 5
 STARTUP_CALLS = 20
@@ -74,7 +83,6 @@ STARTUP = {
     "import expriordan.cli": ["-c", "import expriordan.cli"],
     "python -m expriordan list": ["-m", "expriordan", "list"],
 }
-OUT = ROOT / "BENCH_21.json"
 
 
 def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
@@ -88,9 +96,11 @@ def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
     dense = riordan.build(dense_g, dense_f)
     fbar = f.revert()
     za = production.za_sequences(g, f)
-    rec = orthopoly.recurrence_from_jacobi(catalog.entry(JACOBI_ENTRY).jacobi, n)
+    params = catalog.entry(JACOBI_ENTRY).jacobi
+    rec = orthopoly.recurrence_from_jacobi(params, n)
     m = orthopoly.moments(rec, n)
     sech2, tanh_f = (s.egf() for s in catalog.pair(JACOBI_ENTRY, 2 * n))
+    jacobi_g = catalog.pair(JACOBI_ENTRY, n)[0]
     gompertz_u = 1 - catalog.expx_series(n, scale=-1)
     gompertz_w = 1 - catalog.log1p_series(n)
     square = series([1, 0, 1], order=n)
@@ -114,6 +124,11 @@ def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
             ("inverse", EXP_ENTRY, lambda: riordan.inverse(dense)),
             ("multiply", EXP_ENTRY, lambda: riordan.multiply(dense, dense)),
             ("za_sequences", EXP_ENTRY, lambda: production.za_sequences(dense_g, dense_f)),
+            (
+                "recurrence_from_jacobi",
+                JACOBI_ENTRY,
+                lambda: orthopoly.recurrence_from_jacobi(params, n),
+            ),
             ("coefficient_array", JACOBI_ENTRY, lambda: orthopoly.coefficient_array(rec, n)),
             ("moments", JACOBI_ENTRY, lambda: orthopoly.moments(rec, n)),
             ("cf_to_ogf", JACOBI_ENTRY, lambda: orthopoly.cf_to_ogf(rec, 2 * n, n)),
@@ -122,6 +137,7 @@ def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
             ("hankel_transform_g_egf", JACOBI_ENTRY, lambda: orthopoly.hankel_transform(sech2, n)),
             ("jfraction_g_egf", JACOBI_ENTRY, lambda: orthopoly.jfraction(sech2, n)),
             ("hankel_transform_f_egf", JACOBI_ENTRY, lambda: orthopoly.hankel_transform(tanh_f, n)),
+            ("egf", JACOBI_ENTRY, jacobi_g.egf),
             ("exp_series", EXP_ENTRY, lambda: exp_series(gompertz_u)),
             ("log_series", EXP_ENTRY, lambda: log_series(gompertz_w)),
             ("pow_rational", ENTRY, lambda: pow_rational(square, "-3/2")),
@@ -143,6 +159,8 @@ def operations() -> list[tuple[str, str, int, Callable[[], object]]]:
     for n in PAIR_ORDERS:
         for getter, entry in jets:
             ops.append((getter, entry, n, partial(getattr(catalog, getter), entry, n)))
+        for name, operands in QUOTIENTS.items():
+            ops.append((name, operands, n, partial(getattr(catalog, name), n)))
     for n in REVERT_ORDERS:
         for eid in catalog.ids():
             if n in ORDERS and eid in (ENTRY, EXP_ENTRY):
@@ -217,6 +235,7 @@ def startup(src: Path) -> list[dict]:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=Path, help="JSON file to write, say BENCH_24.json")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding expriordan")
     ap.add_argument("--label", default="change", help="key of this run in the output")
     args = ap.parse_args()
@@ -224,7 +243,7 @@ def main() -> int:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 
     results = measure() + startup(src)
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("script", "scripts/bench_layers.py")
     doc.setdefault("orders", list(ORDERS))
     doc.setdefault("pair_orders", list(PAIR_ORDERS))
@@ -235,7 +254,7 @@ def main() -> int:
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
         "results": results,
     }
-    OUT.write_text(json.dumps(doc, indent=2) + "\n")
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
 

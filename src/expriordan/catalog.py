@@ -455,13 +455,17 @@ def pair(entry_id: str, order: int) -> tuple[Series, Series]:
 
 
 def inverse_pair(entry_id: str, order: int) -> tuple[Series, Series]:
-    """(g, f) of the inverse array: the entry's stated closed forms, else
-    [fbar', fbar], the inverse of [f', f] in the derivative subgroup, with
-    fbar reverted from f one order higher."""
+    """(g, f) of the inverse array.  For an entry that states f, the stated
+    inverse pair; for [f', f] in the derivative subgroup, its inverse
+    [fbar', fbar], one jet of fbar one order higher: the stated inverse f,
+    else the reversion of f."""
     e = entry(entry_id)
-    if e.inverse_g is not None:
+    if e.f_series is not None:
         return e.inverse_g(order), e.inverse_f(order)
-    fbar = pair(entry_id, order + 1)[1].revert()
+    if e.inverse_f is not None:
+        fbar = e.inverse_f(order + 1)
+    else:
+        fbar = pair(entry_id, order + 1)[1].revert()
     return fbar.derive(), fbar.truncate(order)
 
 

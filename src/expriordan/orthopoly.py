@@ -7,7 +7,11 @@ A :class:`Recurrence` holds the data (b_k, lambda_k) of the monic family
 
 "Formally orthogonal" is meant literally: lambda_k may be zero or negative.
 The recurrence runs once, on integer numerators, for the coefficient array
-and, reversed, for the J-fraction convergents that give the moments.  Going
+and, reversed, for the J-fraction convergents that give the moments: with d
+the denominator's scale, both reversed rows are integer rows in y = x/d, the
+denominator's constant term is 1, and a convergent is one integer long
+division (``series._quotient``) in y, each coefficient made a Fraction once.
+Going
 back, the Hankel transform h_n = det(m_{i+j}) and the J-fraction of a moment
 sequence are read off one expansion of its generating function as a Hankel
 continued fraction (Han's H-fraction), on integer rows, which gives every
@@ -21,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .riordan import TriMatrix, from_rows
-from .series import Series, _content_removed, _Frozen, _quotient, _scaled, series
+from .series import Series, _content_removed, _Frozen, _quotient, _scaled
 
 __all__ = [
     "Recurrence",
@@ -46,10 +50,15 @@ class Recurrence(_Frozen):
 
 def recurrence_from_jacobi(params, n: int) -> Recurrence:
     """Recurrence data for P_0..P_n from tridiagonal production parameters:
-    b_0..b_(n-1) and lambda_1..lambda_(n-1)."""
+    b_0..b_(n-1) and lambda_1..lambda_(n-1).  b_k = alpha + k gamma and
+    lambda_k = k beta + k(k-1) delta are each one Fraction, made from the
+    parameters' integer numerators over their common denominator d."""
+    (alpha, beta, gamma, delta), d = _scaled(
+        (params.alpha, params.beta, params.gamma, params.delta), 3
+    )
     return Recurrence(
-        b=tuple(params.diagonal(k) for k in range(n)),
-        lam=tuple(params.subdiagonal(k) for k in range(1, n)),
+        b=tuple(Fraction(alpha + k * gamma, d) for k in range(n)),
+        lam=tuple(Fraction(k * beta + k * (k - 1) * delta, d) for k in range(1, n)),
     )
 
 
@@ -178,12 +187,6 @@ def jfraction(m: Sequence[Fraction], depth: int) -> Recurrence:
     )
 
 
-def _reversed_top(b: tuple, lam: tuple, n: int, order: int) -> Series:
-    """x^n P_n(1/x) to order ``order``; its x^i term is [y^(n-i)] Q_n / d^i."""
-    rows, d = _monic_numerators(b, lam, n)
-    return series([Fraction(c, d**i) for i, c in enumerate(rows[n][::-1][: order + 1])], order)
-
-
 def cf_to_ogf(rec: Recurrence, order: int, depth: int | None = None) -> Series:
     """Order-``order`` truncation of the J-fraction
 
@@ -200,4 +203,17 @@ def cf_to_ogf(rec: Recurrence, order: int, depth: int | None = None) -> Series:
         raise ValueError(f"depth {depth} is outside 0..{len(rec.b)}")
     b = rec.b[:depth] + (Fraction(0),)
     lam = (rec.lam + (Fraction(0),) * depth)[:depth]
-    return _reversed_top(b[1:], lam[1:], depth, order) / _reversed_top(b, lam, depth + 1, order)
+    # x^n P_n(1/x) is the reversed row of Q_n = d^n P_n(y/d) in y = x/d.  The
+    # numerator's data is a subset of the denominator's, so its own scale e
+    # divides d, and its row in y = x/d takes (d/e)^i at y^i.  The
+    # denominator's constant term is 1: the long division is exact.
+    den, d = _monic_numerators(b, lam, depth + 1)
+    num, e = _monic_numerators(b[1:], lam[1:], depth)
+    pad = [0] * order
+    r = [c * (d // e) ** i for i, c in enumerate(num[depth][::-1])]
+    t, _ = _quotient(r + pad, den[depth + 1][::-1] + pad, order)
+    out, p = [], 1
+    for v in t:
+        out.append(Fraction(v, p))
+        p *= d
+    return Series(tuple(out))

@@ -22,11 +22,16 @@ other-sided identity f(g) = x exactly on a fresh table of g; it hands on
 that table, so g can be composed into another series without a second one.
 exp is the integer recurrence E' = u'E in exponential coordinates.  Division
 ``a / b`` is long division on OGF numerators, scaled by (common denominator
-of b)^n.  The one EGF quotient, A_m = sum_j C(m, j) Q_j B_(m-j) on integer
-rows, serves callers whose operands are EGF rows already: log, as
-(log s)' = s'/s and in EGF coordinates s' is s shifted one place, and the
-catalog's tan, sec, tanh and sech, quotients of the integer EGF rows of sin,
-cos, sinh and cosh.
+of b)^n; that integer long division, ``_quotient``, also runs the
+H-fraction and the J-fraction convergents of ``orthopoly``.  The one EGF
+quotient, A_m = sum_j C(m, j) Q_j B_(m-j) on integer rows, serves callers
+whose operands are EGF rows already: log, as (log s)' = s'/s and in EGF
+coordinates s' is s shifted one place, and the catalog's tan, sec, tanh and
+sech, quotients of the integer EGF rows of sin, cos, sinh and cosh.  It
+reads the divisor B only through its degree and its stride s, the gcd of
+the exponents of its terms: a divisor in x^s, as cos and cosh are in x^2,
+costs 1/s of the products.  The EGF views, derivatives and integrals make
+each coefficient's Fraction once.
 
 Binary operations require operands of equal order -- mixing orders would
 silently discard precision, so it raises instead.  Equality is strict too:
@@ -117,14 +122,16 @@ def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
 def _egf_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The integer row q with a = q * b in EGF coordinates,
     a_m = sum_{j<=m} C(m, j) q_j b_(m-j), for integer rows a and b of one
-    length with b_0 = 1.  b is read only through its degree, so a sparse
-    divisor such as 1 + x^2 costs a few products a term, not m."""
-    bs = b[1 : max(compress(count(), b), default=0) + 1]  # b_1, ..., b_deg
+    length with b_0 = 1.  b is read only through its degree and its stride
+    s = _stride(b), so a sparse divisor such as 1 + x^2 costs a few products
+    a term, not m, and a divisor in x^s such as cos or cosh 1/s of them."""
+    s = _stride(b)
+    bs = b[s : max(compress(count(), b), default=0) + 1 : s]  # b_s, b_2s, ..., b_deg
     q: list[int] = []
     row: list[int] = []  # C(m, i) for i = 1..m
     for am in a:
-        qb = map(int.__mul__, reversed(q), bs)  # q_(m-i) b_i, i = 1..min(m, deg)
-        q.append(am - sum(map(int.__mul__, qb, row)))
+        qb = map(int.__mul__, q[-s::-s], bs)  # q_(m-is) b_is, is = s..min(m, deg)
+        q.append(am - sum(map(int.__mul__, qb, row[s - 1 :: s])))
         row = [*map(int.__add__, row, [1, *row]), 1]
     return q
 
@@ -220,11 +227,11 @@ def _compose(outer: Sequence[Fraction], table: _Table, n: int) -> list[Fraction]
 
 
 def _derive(a: Sequence[Fraction]) -> list[Fraction]:
-    return [k * a[k] for k in range(1, len(a))]
+    return [Fraction(k * c.numerator, c.denominator) for k, c in enumerate(a[1:], 1)]
 
 
 def _integrate(a: Sequence[Fraction]) -> list[Fraction]:
-    return [Fraction(0)] + [a[k] / (k + 1) for k in range(len(a))]
+    return [Fraction(0), *(Fraction(c.numerator, c.denominator * k) for k, c in enumerate(a, 1))]
 
 
 def _egf_scale(a: Sequence[Fraction]) -> int:
@@ -491,7 +498,11 @@ class Series(_Frozen):
 
     def egf(self) -> tuple[Fraction, ...]:
         """Exponential-coefficient view: n-th entry is n! * c_n."""
-        return tuple(factorial(n) * c for n, c in enumerate(self.coeffs))
+        out, f = [], 1
+        for m, c in enumerate(self.coeffs):
+            f *= m or 1
+            out.append(Fraction(c.numerator * f, c.denominator))
+        return tuple(out)
 
 
 def _revert_compose(g: Series, f: Series) -> tuple[Series, Series]:
@@ -512,7 +523,11 @@ def series(coeffs: Iterable[Union[Scalar, str]], order: int | None = None) -> Se
     Padding treats the input as an exact polynomial, so extending with
     zeros loses nothing.
     """
-    cs = [Fraction(c) for c in coeffs]
+    return _padded([Fraction(c) for c in coeffs], order)
+
+
+def _padded(cs: list[Fraction], order: int | None) -> Series:
+    """The Series of cs, zero-padded to ``order``; cs is extended in place."""
     if order is not None:
         if order + 1 < len(cs):
             raise ValueError("more coefficients than the requested order allows")
@@ -521,11 +536,15 @@ def series(coeffs: Iterable[Union[Scalar, str]], order: int | None = None) -> Se
 
 
 def from_egf(coeffs: Iterable[Union[Scalar, str]], order: int | None = None) -> Series:
-    """Build a Series from exponential coefficients a_n (so c_n = a_n/n!)."""
-    cs = series(coeffs, order).coeffs
-    return Series(
-        tuple(Fraction(c.numerator, c.denominator * factorial(n)) for n, c in enumerate(cs))
-    )
+    """Build a Series from exponential coefficients a_n (so c_n = a_n/n!),
+    zero-padded to ``order`` as :func:`series` pads."""
+    cs, f = [], 1
+    for m, a in enumerate(coeffs):
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        f *= m or 1
+        cs.append(Fraction(a.numerator, a.denominator * f))
+    return _padded(cs, order)
 
 
 def x(order: int) -> Series:

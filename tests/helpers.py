@@ -16,8 +16,9 @@ production matrix by its closed form U . [1/fbar', x]
 alone; moments by the Jacobi-matrix recurrence; Hankel determinants by
 Gaussian elimination over Fractions; J-fraction coefficients by determinant
 ratios and by peeling one level per series division; J-fraction expansions
-by one series division per level; matrix products, triangular solves and
-matrix powers by schoolbook products; and so on.  The catalog's f and the
+by one schoolbook long division per level, where the library makes one
+integer long division of a convergent's two rows; matrix products,
+triangular solves and matrix powers by schoolbook products; and so on.  The catalog's f and the
 inverse side's (Z, A) are stated in closed forms other than the ones the
 catalog computes.  The derivative-subgroup and checkerboard predicates and
 the reader of the CLI's JSON matrices live here too, since only the tests
@@ -181,8 +182,8 @@ def moments_by_jacobi_recurrence(rec: Recurrence, n: int) -> tuple[Fraction, ...
 
 def cf_to_ogf_by_levels(rec: Recurrence, order: int, depth: int | None = None) -> Series:
     """Order-``order`` truncation of the J-fraction
-    1 / (1 - b_0 x - lambda_1 x^2 / (1 - ...)), one series division per
-    level from the innermost tail 1 outwards; needs order >= 2."""
+    1 / (1 - b_0 x - lambda_1 x^2 / (1 - ...)), one schoolbook long
+    division per level from the innermost tail 1 outwards; needs order >= 2."""
     if depth is None:
         depth = len(rec.b)
     if depth > len(rec.b):
@@ -197,7 +198,7 @@ def cf_to_ogf_by_levels(rec: Recurrence, order: int, depth: int | None = None) -
         den = 1 - rec.b[k] * xs
         if lam_term is not None:
             den = den - lam_term
-        tail = 1 / den
+        tail = div_by_long_division(one(order), den)
     return tail
 
 

@@ -99,6 +99,18 @@ def test_coefficient_array_unit_diagonal():
     assert all(arr.entry(i, i) == 1 for i in range(arr.dim))
 
 
+@given(
+    params=st.tuples(*[st.fractions(min_value=-5, max_value=5, max_denominator=12)] * 4),
+    n=st.integers(0, 12),
+)
+@settings(max_examples=60)
+def test_recurrence_from_jacobi_on_rational_parameters(params, n):
+    p = JacobiParams(*params)
+    rec = recurrence_from_jacobi(p, n)
+    assert rec.b == tuple(p.diagonal(k) for k in range(n))
+    assert rec.lam == tuple(p.subdiagonal(k) for k in range(1, n))
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -472,6 +484,28 @@ def test_cf_to_ogf_gompertz():
 def test_cf_to_ogf_catalan():
     rec = Recurrence(b=(0,) * 6, lam=(1,) * 6)
     assert cf_to_ogf(rec, 10).coeffs == (1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42)
+
+
+@given(
+    b=st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+    lam=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    head=st.builds(F, st.integers(-5, 5), st.integers(2, 7)).filter(lambda q: q.denominator > 1),
+    on_lambda=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_cf_to_ogf_with_one_fractional_head_term(b, lam, head, on_lambda):
+    # Only b_0 or lambda_1 carries a denominator: both lie in the convergent's
+    # denominator data and not in its numerator's, so the two rows' own
+    # scales differ.
+    b, lam = list(map(F, b)), list(map(F, lam))
+    if on_lambda:
+        lam[0] = head
+    else:
+        b[0] = head
+    rec = Recurrence(b=tuple(b), lam=tuple(lam))
+    for depth in range(len(b) + 1):
+        order = 2 * depth + 3
+        assert cf_to_ogf(rec, order, depth).coeffs == cf_to_ogf_by_levels(rec, order, depth).coeffs
 
 
 def test_cf_to_ogf_low_orders():

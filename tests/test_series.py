@@ -270,6 +270,22 @@ def test_egf_quotient_matches_long_division(data, n):
     assert from_egf(q) == div_by_long_division(from_egf(a), from_egf(b))
 
 
+@given(data=st.data(), s=st.integers(2, 4), n=st.integers(min_value=0, max_value=16))
+@settings(max_examples=150, deadline=None)
+def test_egf_quotient_by_divisors_in_x_to_the_s(data, s, n):
+    # A divisor in x^s, as cos and cosh are in x^2, is read through b_s,
+    # b_2s, ...: divisors of every degree js <= n, with interior zeros.
+    j = data.draw(st.integers(0, n // s))
+    a = data.draw(st.lists(_sparse_ints, min_size=n + 1, max_size=n + 1))
+    mid = data.draw(st.lists(_sparse_ints, min_size=max(j - 1, 0), max_size=max(j - 1, 0)))
+    top = [data.draw(st.integers(-50, 50).filter(bool))] if j else []
+    b = [0] * (n + 1)
+    b[: j * s + 1 : s] = [1, *mid, *top]
+    q = importlib.import_module("expriordan.series")._egf_quotient(a, b)
+    assert all(type(v) is int for v in q)
+    assert from_egf(q) == div_by_long_division(from_egf(a), from_egf(b))
+
+
 @given(data=st.data(), n=st.integers(min_value=1, max_value=24))
 @settings(max_examples=100, deadline=None)
 def test_log_of_sparse_polynomial_matches_integration(data, n):
@@ -462,6 +478,29 @@ def test_leibniz_rule(a, b):
 @settings(max_examples=40)
 def test_egf_ogf_round_trip(s):
     assert from_egf(s.egf()) == s
+
+
+@given(cs=st.lists(mixed_rationals, min_size=1, max_size=12), pad=st.integers(0, 3))
+@settings(max_examples=60)
+@example(cs=[F(-7, 3), F(0), F(5, 2), F(-1)], pad=1)
+def test_egf_views_and_calculus_by_definition(cs, pad):
+    # Negative and non-integer coefficients, against c_m = a_m / m!,
+    # (s')_k = (k + 1) s_(k+1) and (int s)_(k+1) = s_k / (k + 1).
+    n = len(cs) - 1 + pad
+    s = from_egf(cs, order=n)
+    assert s.coeffs == tuple(a / factorial(m) for m, a in enumerate(cs)) + (F(0),) * pad
+    assert s.egf() == tuple(cs) + (F(0),) * pad
+    assert from_egf([str(a) for a in cs], order=n) == s
+    assert from_egf(s.egf()) == s
+    assert s.integrate().coeffs == (F(0),) + tuple(c / (k + 1) for k, c in enumerate(s))
+    assert s.integrate().derive() == s
+    if n:
+        assert s.derive().coeffs == tuple((k + 1) * s[k + 1] for k in range(n))
+        assert s.derive().integrate() == s - s[0]
+    if len(cs) > 1:
+        for build in (series, from_egf):
+            with pytest.raises(ValueError, match="more coefficients than the requested order"):
+                build(cs, order=len(cs) - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,9 @@ def _geom_x2(c: int, order: int) -> Series:
 
 
 def _gompertz_g(order: int) -> Series:
-    u = 1 - expx_series(order, scale=-1)
-    return exp_series(u - x(order))
+    # The exponent 1 - e^(-x) - x has the integer EGF row 0, 0, -1, 1, -1, ...
+    row = [0, 0, *((-1) ** (m + 1) for m in range(2, order + 1))]
+    return exp_series(from_egf(row[: order + 1]))
 
 
 def _gompertz_inverse_f(order: int) -> Series:

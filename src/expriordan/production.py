@@ -79,8 +79,7 @@ def production_definitional(arr: ExpRiordan) -> TriMatrix:
 
 def za_sequences(g: Series, f: Series) -> ZAPair:
     """A = f'(fbar), Z = g'(fbar)/g(fbar); the results have order N-1."""
-    if g.order != f.order:
-        raise ValueError(f"order mismatch: {g.order} != {f.order}")
+    g._require_same_order(f)
     fbar, g_fbar = _revert_compose(g, f)
     a = 1 / fbar.derive()  # = f'(fbar), and (g(fbar))' = fbar' g'(fbar)
     z = a * g_fbar.derive() / g_fbar.truncate(g.order - 1)
@@ -89,6 +88,8 @@ def za_sequences(g: Series, f: Series) -> ZAPair:
 
 def production_analytic(za: ZAPair, dim: int) -> TriMatrix:
     """The dim-by-dim block of the matrix with generating form e^{xy}(Z + yA)."""
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     if dim - 1 > min(za.z.order, za.a.order):
         raise ValueError(
             f"dim {dim} needs z to order {dim - 1} and a to order {dim - 1}, "
@@ -111,7 +112,7 @@ def production_analytic(za: ZAPair, dim: int) -> TriMatrix:
         if i + 1 < dim:
             row[i + 1] = za.a[0]
         rows.append(row)
-    return (TriMatrix._trusted if dim >= 1 else TriMatrix)(rows)
+    return TriMatrix._trusted(rows)
 
 
 def tridiagonal_params(p: TriMatrix) -> JacobiParams | None:

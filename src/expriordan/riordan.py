@@ -77,14 +77,6 @@ class TriMatrix(_Frozen):
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TriMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
     __hash__ = None  # type: ignore[assignment]
 
     def leading(self, k: int) -> "TriMatrix":
@@ -115,9 +107,7 @@ def from_rows(rows: Sequence[Sequence[object]]) -> TriMatrix:
 
 def identity_matrix(dim: int) -> TriMatrix:
     zero, one = Fraction(0), Fraction(1)
-    return TriMatrix(
-        tuple((zero,) * i + (one,) + (zero,) * (dim - i - 1) for i in range(dim))
-    )
+    return from_rows([[zero] * i + [one] for i in range(dim)])
 
 
 def _int_rows(m: TriMatrix) -> list[tuple[list[int], int]]:
@@ -213,20 +203,11 @@ class ExpRiordan(_Frozen):
     __slots__ = ("g", "f", "matrix")
 
     def __init__(self, g: Series, f: Series, matrix: TriMatrix) -> None:
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "matrix", matrix)
+        self._set_fields(g, f, matrix)
 
     @property
     def order(self) -> int:
         return self.g.order
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExpRiordan):
-            return NotImplemented
-        return (
-            self.order == other.order and self.g == other.g and self.f == other.f
-        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -236,8 +217,7 @@ class ExpRiordan(_Frozen):
 
 def build(g: Series, f: Series) -> ExpRiordan:
     """Realize [g, f]; requires g(0)=1, f(0)=0, f'(0)=1 and equal orders."""
-    if g.order != f.order:
-        raise ValueError(f"order mismatch: {g.order} != {f.order}")
+    g._require_same_order(f)
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
     if f[0] != 0:
@@ -263,8 +243,7 @@ def _realize(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> list[list[
 
 def multiply(a: ExpRiordan, b: ExpRiordan) -> ExpRiordan:
     """Group law: [g, f] . [u, v] = [g * u(f), v(f)]."""
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} != {b.order}")
+    a.g._require_same_order(b.g)
     n = a.order
     table = _powers([1], a.f.coeffs, n)  # one power table for both compositions
     u, v = (Series(tuple(_compose(s.coeffs, table, n))) for s in (b.g, b.f))

@@ -255,8 +255,9 @@ def _egf_scaled(a: Sequence[Fraction], d: int) -> list[int]:
     return out
 
 
-def _egf_unscaled(v: Sequence[int], d: int, e: int = 1) -> list[Fraction]:
-    """The c_m = v_m / (e * d^m * m!): the inverse of _egf_scaled."""
+def _egf_unscaled(v: Sequence[Scalar], d: int, e: int = 1) -> list[Fraction]:
+    """The c_m = v_m / (e * d^m * m!): the inverse of _egf_scaled.  The v_m
+    are integers on the kernels' paths; from_egf passes Fractions too."""
     out, p = [], e
     for m, c in enumerate(v, 1):
         out.append(Fraction(c, p))
@@ -333,8 +334,9 @@ def _revert(f: Sequence[Fraction], n: int) -> tuple[list[Fraction], _Table]:
 class _Frozen:
     """Base of the package's immutable value classes.  A subclass names its
     fields in ``__slots__``, in constructor order, and sets them once in
-    ``__init__``.  Equality, hashing, repr and pickling go by those fields
-    unless the subclass defines its own."""
+    ``__init__``.  Equality, hashing, repr and pickling go by those fields.
+    Subclasses override only ``__repr__``; the jet, matrix and array classes
+    set ``__hash__ = None``, so they are unhashable."""
 
     __slots__ = ()
 
@@ -388,12 +390,6 @@ class Series(_Frozen):
 
     def __iter__(self):
         return iter(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        """Equal order and equal coefficients; jets of different orders differ."""
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -538,13 +534,8 @@ def _padded(cs: list[Fraction], order: int | None) -> Series:
 def from_egf(coeffs: Iterable[Union[Scalar, str]], order: int | None = None) -> Series:
     """Build a Series from exponential coefficients a_n (so c_n = a_n/n!),
     zero-padded to ``order`` as :func:`series` pads."""
-    cs, f = [], 1
-    for m, a in enumerate(coeffs):
-        if not isinstance(a, (int, Fraction)):
-            a = Fraction(a)
-        f *= m or 1
-        cs.append(Fraction(a.numerator, a.denominator * f))
-    return _padded(cs, order)
+    cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+    return _padded(_egf_unscaled(cs, 1), order)
 
 
 def x(order: int) -> Series:

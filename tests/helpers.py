@@ -305,6 +305,8 @@ def jfraction_by_levels(m, depth: int) -> Recurrence:
 
 def production_analytic_by_entries(za: ZAPair, dim: int) -> TriMatrix:
     """P[n][k] = (n!/k!) z_{n-k} + (n!/(k-1)!) a_{n-k+1}, entry by entry."""
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     if dim - 1 > za.z.order or dim - 1 > za.a.order:
         raise ValueError(
             f"dim {dim} needs z to order {dim - 1} and a to order {dim - 1}, "

@@ -42,7 +42,7 @@ from expriordan.catalog import (
 )
 from expriordan.production import production_definitional, tridiagonal_params, za_sequences
 from expriordan.riordan import build, inverse
-from expriordan.series import exp_series, log_series, one, pow_rational, series
+from expriordan.series import exp_series, log_series, one, pow_rational, series, x
 
 SIGMOID_IDS = tuple(eid for eid in ids() if eid not in NON_SIGMOID_IDS)
 
@@ -62,6 +62,14 @@ def test_catalog_ids():
     )
     with pytest.raises(KeyError, match="unknown catalog id"):
         entry("sigmoidal")
+
+
+def test_gompertz_g_against_its_series_expression():
+    # The catalog builds g from the integer EGF row of its exponent; the
+    # oracle is the same exponent as a difference of jets.
+    for n in range(49):
+        oracle = exp_series(1 - expx_series(n, scale=-1) - x(n))
+        assert pair("gompertz", n)[0] == oracle
 
 
 def test_tanh_series_against_exp_oracle():

@@ -215,7 +215,7 @@ def test_generation_property():
 def test_za_validation():
     with pytest.raises(ValueError, match="start with 1"):
         ZAPair(z=one(4), a=series([2], order=4))
-    with pytest.raises(ValueError, match="order mismatch"):
+    with pytest.raises(ValueError, match=r"^order mismatch: 4 != 5$"):
         za_sequences(one(4), series([0, 1], order=5))
 
 
@@ -223,3 +223,10 @@ def test_analytic_needs_enough_coefficients():
     za = ZAPair(z=one(4), a=one(4))
     with pytest.raises(ValueError, match="needs z to order"):
         production_analytic(za, 6)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_analytic_rejects_an_empty_block(dim):
+    za = ZAPair(z=one(4), a=one(4))
+    with pytest.raises(ValueError, match=rf"^dim must be at least 1, got {dim}$"):
+        production_analytic(za, dim)

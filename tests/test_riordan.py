@@ -172,8 +172,13 @@ def test_build_validation():
         build(one(4), one(4))
     with pytest.raises(ValueError, match="linear coefficient 1"):
         build(one(4), series([0, 2], order=4))
-    with pytest.raises(ValueError, match="order mismatch"):
+    with pytest.raises(ValueError, match=r"^order mismatch: 4 != 5$"):
         build(one(4), x(5))
+
+
+def test_multiply_rejects_mixed_orders():
+    with pytest.raises(ValueError, match=r"^order mismatch: 4 != 5$"):
+        multiply(build(one(4), x(4)), build(one(5), x(5)))
 
 
 def test_unit_diagonal_invariant():

@@ -2,9 +2,11 @@
 construction, frozen attributes, equality and hashing, and the validation
 messages of their constructors."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from expriordan.orthopoly import Recurrence
 from expriordan.production import JacobiParams, ZAPair
 from expriordan.riordan import ExpRiordan, TriMatrix, build
 from expriordan.series import Series, one, series, x
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "expriordan"
 
 
 def _pair() -> tuple[Series, Series]:
@@ -180,3 +184,16 @@ def test_validation_messages(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_frozen_holds_the_one_equality():
+    # Every value class compares field by field through _Frozen.__eq__.
+    owners = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                owners += [
+                    node.name for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__eq__"
+                ]
+    assert owners == ["_Frozen"]

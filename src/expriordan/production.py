@@ -2,15 +2,15 @@
 
 Two independent routes are provided.  The definitional route solves
 ``M . P = (M with its first row removed)`` by exact forward substitution on
-integer rows (``riordan.solve_lower``).  The analytic route builds P from the
-pair of sequences
+integer rows (``riordan.solve_lower``).  The analytic route composes
 
-    A(x) = f'(fbar(x)) = 1/fbar'(x),    Z(x) = g'(fbar(x)) / g(fbar(x)),
+    A(x) = f'(fbar(x)),    Z(x) = g'(fbar(x)) / g(fbar(x)) = (log g)'(fbar(x))
 
-via ``P[n][k] = (n!/k!) z_{n-k} + (n!/(k-1)!) a_{n-k+1}``: the array
-``[Z, x]`` plus ``[A, x]`` moved one column right, each entry made once from
-the integers of Z and A over one denominator.  A tridiagonal
-production matrix is equivalent to the generating form
+on the one table of fbar that reversion checked, and builds P from them via
+``P[n][k] = (n!/k!) z_{n-k} + (n!/(k-1)!) a_{n-k+1}``: the array ``[Z, x]``
+plus ``[A, x]`` moved one column right, each entry made once from the
+integers of Z and A over one denominator.  A tridiagonal production matrix
+is equivalent to the generating form
 ``e^{xy} (alpha + beta x + y (1 + gamma x + delta x^2))`` and is returned
 as :class:`JacobiParams`, the data of a monic three-term recurrence.
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .riordan import ExpRiordan, TriMatrix, solve_lower
-from .series import Series, _Frozen, _revert_compose, _scaled
+from .series import Series, _Frozen, _revert_compose, _scaled, log_series
 
 __all__ = [
     "ZAPair",
@@ -64,7 +64,6 @@ class JacobiParams(_Frozen):
         return k * self.beta + k * (k - 1) * self.delta
 
 
-
 def production_definitional(arr: ExpRiordan) -> TriMatrix:
     """P with M . P = U . M for the realized matrix M, leading N-by-N block.
 
@@ -78,11 +77,12 @@ def production_definitional(arr: ExpRiordan) -> TriMatrix:
 
 
 def za_sequences(g: Series, f: Series) -> ZAPair:
-    """A = f'(fbar), Z = g'(fbar)/g(fbar); the results have order N-1."""
+    """A = f'(fbar) and Z = (log g)'(fbar) = g'(fbar)/g(fbar), of order N-1."""
     g._require_same_order(f)
-    fbar, g_fbar = _revert_compose(g, f)
-    a = 1 / fbar.derive()  # = f'(fbar), and (g(fbar))' = fbar' g'(fbar)
-    z = a * g_fbar.derive() / g_fbar.truncate(g.order - 1)
+    if f.order < 1 or not g[0]:  # no f' at order 0, no Z at g_0 = 0; reversion's errors first
+        f.revert()
+        raise ZeroDivisionError("division by a series with zero constant term")
+    _, (a, z) = _revert_compose(f, f.derive(), log_series(g / g[0]).derive())
     return ZAPair(z=z, a=a)
 
 

@@ -252,7 +252,7 @@ def multiply(a: ExpRiordan, b: ExpRiordan) -> ExpRiordan:
 
 def inverse(a: ExpRiordan) -> ExpRiordan:
     """Group inverse: [1/g(fbar), fbar] with fbar the compositional inverse."""
-    fbar, g_fbar = _revert_compose(a.g, a.f)
+    fbar, (g_fbar,) = _revert_compose(a.f, a.g)
     return build(1 / g_fbar, fbar)
 
 

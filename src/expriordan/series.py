@@ -19,19 +19,20 @@ s = 2 and a quarter of the row products.  Reversion solves g(f) = x, which
 is linear in g, by forward substitution on the rows k = 1 (mod s) of the
 table of f, each reached from the last by one step by f^s, then checks the
 other-sided identity f(g) = x exactly on a fresh table of g; it hands on
-that table, so g can be composed into another series without a second one.
-exp is the integer recurrence E' = u'E in exponential coordinates.  Division
+that table, so composing other series with g needs no second one.  exp is
+the integer recurrence E' = u'E in exponential coordinates.  Division
 ``a / b`` is long division on OGF numerators, scaled by (common denominator
-of b)^n; that integer long division, ``_quotient``, also runs the
-H-fraction and the J-fraction convergents of ``orthopoly``.  The one EGF
-quotient, A_m = sum_j C(m, j) Q_j B_(m-j) on integer rows, serves callers
-whose operands are EGF rows already: log, as (log s)' = s'/s and in EGF
-coordinates s' is s shifted one place, and the catalog's tan, sec, tanh and
-sech, quotients of the integer EGF rows of sin, cos, sinh and cosh.  It
-reads the divisor B only through its degree and its stride s, the gcd of
-the exponents of its terms: a divisor in x^s, as cos and cosh are in x^2,
-costs 1/s of the products.  The EGF views, derivatives and integrals make
-each coefficient's Fraction once.
+of b)^n; that integer long division, ``_quotient``, also runs the H-fraction
+and the J-fraction convergents of ``orthopoly``.  The one EGF quotient,
+A_m = sum_j C(m, j) Q_j B_(m-j) on integer rows, serves callers whose
+operands are EGF rows already: log, as (log s)' = s'/s and in EGF
+coordinates s' is s shifted one place (``production`` takes the Z-sequence
+(log g)'(fbar) through it), and the catalog's tan, sec, tanh and sech,
+quotients of the integer EGF rows of sin, cos, sinh and cosh.  It reads the
+divisor B only through its degree and its stride s, the gcd of the exponents
+of its terms: a divisor in x^s, as cos and cosh are in x^2, costs 1/s of the
+products.  The EGF views, derivatives and integrals make each coefficient's
+Fraction once.
 
 Binary operations require operands of equal order -- mixing orders would
 silently discard precision, so it raises instead.  Equality is strict too:
@@ -501,11 +502,10 @@ class Series(_Frozen):
         return tuple(out)
 
 
-def _revert_compose(g: Series, f: Series) -> tuple[Series, Series]:
-    """(fbar, g(fbar)) for fbar = f.revert(), composing g through the power
-    table of fbar on which reversion checked f(fbar) = x."""
+def _revert_compose(f: Series, *outers: Series) -> tuple[Series, list[Series]]:
+    """fbar = f.revert() and each outer(fbar), at the outer's order, on fbar's checked table."""
     fbar, table = _revert(f.coeffs, f.order)
-    return Series(tuple(fbar)), Series(tuple(_compose(g.coeffs, table, f.order)))
+    return Series(tuple(fbar)), [Series(tuple(_compose(o.coeffs, table, o.order))) for o in outers]
 
 
 # ---------------------------------------------------------------------------

@@ -328,12 +328,14 @@ def production_analytic_by_entries(za: ZAPair, dim: int) -> TriMatrix:
 
 
 def za_by_definition(g: Series, f: Series) -> ZAPair:
-    """A = f'(fbar) and Z = g'(fbar)/g(fbar) at order N-1, with fbar by
-    Lagrange inversion, each composition by ``naive_compose`` and the
-    quotient by ``div_by_long_division``."""
+    """A = 1/fbar' = f'(fbar) and Z = g'(fbar)/g(fbar) at order N-1, with
+    fbar by Lagrange inversion, each composition by ``naive_compose`` and
+    each quotient by ``div_by_long_division``.  The library composes f'
+    instead of dividing, so A here is the other side of the identity."""
     n = f.order
-    fbar = lagrange_revert(f).truncate(n - 1)
-    a = naive_compose(f.derive(), fbar)
+    fbar = lagrange_revert(f)
+    a = div_by_long_division(one(n - 1), fbar.derive())
+    fbar = fbar.truncate(n - 1)
     z = div_by_long_division(
         naive_compose(g.derive(), fbar), naive_compose(g.truncate(n - 1), fbar)
     )

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from expriordan.production import (
     za_sequences,
 )
 from expriordan.riordan import build, inverse
-from expriordan.series import one, series
+from expriordan.series import Series, one, series
 
 DERIVATIVE_SUBGROUP_IDS = tuple(eid for eid in ids() if eid != "pascal")
 
@@ -99,11 +100,38 @@ def test_production_analytic_matches_entry_oracle(data, z_order, a_order, dim):
     assert _outcome(production_analytic, za, dim) == want
 
 
-@given(data=st.data(), order=st.integers(min_value=1, max_value=7))
-@settings(max_examples=40, deadline=None)
-def test_za_sequences_match_definition(data, order):
-    g = data.draw(mixed_jets(order, (data.draw(mixed_rationals.filter(bool)),)))
-    f = data.draw(mixed_jets(order, (F(0), F(1))))
+@st.composite
+def _za_pair(draw):
+    """(g, f) of order 1..13: g a series in x^s with any g_0 != 0, and
+    f = x h(x^s) with f_1 = 1, s = 1..4, so the table of f-bar has stride s
+    or a multiple of it; other terms from mixed_rationals, zeros included.
+    The EGF coefficient of x^s in g, of x^(1+s) in f, both or neither is
+    planted as u/D with D >= 2 prime to u, where the order reaches it, so
+    that side's EGF scale is a multiple of D."""
+    order, s = draw(st.integers(1, 13)), draw(st.integers(1, 4))
+    den = draw(st.integers(2, 12))
+    planted = draw(st.sampled_from([(), (s,), (1 + s,), (s, 1 + s)]))
+
+    def side(head: tuple) -> Series:
+        first = len(head) - 1
+        cs = list(head)
+        for e in range(len(head), order + 1):
+            if (e - first) % s:
+                cs.append(F(0))
+            elif e in planted:
+                u = draw(st.integers(1, 9).filter(lambda u: gcd(u, den) == 1))
+                cs.append(F(draw(st.sampled_from([u, -u])), den * factorial(e)))
+            else:
+                cs.append(draw(mixed_rationals))
+        return Series(cs)
+
+    return side((draw(mixed_rationals.filter(bool)),)), side((F(0), F(1)))
+
+
+@given(gf=_za_pair())
+@settings(max_examples=80, deadline=None)
+def test_za_sequences_match_definition(gf):
+    g, f = gf
     za = za_sequences(g, f)
     want = za_by_definition(g, f)
     assert (za.z.coeffs, za.a.coeffs) == (want.z.coeffs, want.a.coeffs)
@@ -217,6 +245,14 @@ def test_za_validation():
         ZAPair(z=one(4), a=series([2], order=4))
     with pytest.raises(ValueError, match=r"^order mismatch: 4 != 5$"):
         za_sequences(one(4), series([0, 1], order=5))
+    # g_0 = 0 has no Z; reversion's errors on f come before it, and before
+    # f' is formed, which an order-0 f does not have.
+    with pytest.raises(ZeroDivisionError, match=r"^division by a series with zero constant term$"):
+        za_sequences(series([0, 2], order=4), series([0, 1, 3], order=4))
+    for g0 in (0, 1):
+        for f in (series([0, 0, 1], order=4), series([1, 1], order=4), series([0])):
+            with pytest.raises(ValueError, match=r"^reversion requires "):
+                za_sequences(series([g0], order=f.order), f)
 
 
 def test_analytic_needs_enough_coefficients():

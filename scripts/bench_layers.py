@@ -21,11 +21,9 @@ no vanishing minor), ``jfraction_g_egf`` (depth n of sech^2) and
 h_n vanish), and ``egf`` of the entry's g.  It also times ``exp_series`` of
 1 - e^(-x) and ``log_series`` of 1 - log(1 + x), the series of the
 ``gompertz`` entry, ``pow_rational`` (1 + x^2)^(-3/2), the g of
-``algebraic``, ``catalog.pair`` of ``gompertz`` and of ``algebraic``, and
-three series divisions (``div``, the entry column
-naming the operands): sinh/cosh, 1/cosh and 1/(1 - x - x^2), all three by
-OGF long division.  At orders 24, 48 and 128 it times the catalog
-jets: ``pair`` of every entry, ``inverse_pair`` of ``arctan``, and the four
+``algebraic``, and ``catalog.pair`` of ``gompertz`` and of ``algebraic``.
+At orders 24, 48 and 128 it times the catalog jets: ``pair`` of every
+entry, ``inverse_pair`` of ``arctan``, and the four
 EGF quotients ``tan_series``, ``sec_series``, ``tanh_series`` and
 ``sech_series`` (the entry column naming the operands).  At orders 64 and
 128 it times ``revert``, ``inverse``, ``za_sequences``, ``build`` and
@@ -104,8 +102,6 @@ def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
     gompertz_u = 1 - catalog.expx_series(n, scale=-1)
     gompertz_w = 1 - catalog.log1p_series(n)
     square = series([1, 0, 1], order=n)
-    sinh, cosh = catalog.sinh_series(n), catalog.cosh_series(n)
-    fib = series([1, -1, -1], order=n)
     return [
         (name, entry, n, op)
         for name, entry, op in [
@@ -143,9 +139,6 @@ def _at_order(n: int) -> list[tuple[str, str, int, Callable[[], object]]]:
             ("pow_rational", ENTRY, lambda: pow_rational(square, "-3/2")),
             ("pair", EXP_ENTRY, lambda: catalog.pair(EXP_ENTRY, n)),
             ("pair", ENTRY, lambda: catalog.pair(ENTRY, n)),
-            ("div", "sinh/cosh", lambda: sinh / cosh),
-            ("div", "1/cosh", lambda: 1 / cosh),
-            ("div", "1/(1-x-x^2)", lambda: 1 / fib),
         ]
     ]
 

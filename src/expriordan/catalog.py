@@ -49,8 +49,6 @@ __all__ = [
     "sample_parametric",
     "sin_series",
     "cos_series",
-    "sinh_series",
-    "cosh_series",
     "expx_series",
     "tan_series",
     "sec_series",
@@ -82,14 +80,6 @@ def sin_series(order: int) -> Series:
 
 def cos_series(order: int) -> Series:
     return from_egf(_periodic(_COS, order))
-
-
-def sinh_series(order: int) -> Series:
-    return from_egf(_periodic(_SINH, order))
-
-
-def cosh_series(order: int) -> Series:
-    return from_egf(_periodic(_COSH, order))
 
 
 def expx_series(order: int, scale: int = 1) -> Series:

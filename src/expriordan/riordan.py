@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .series import Series, _compose, _content_removed, _Frozen, _powers, _revert_compose, _scaled
+from .series import (Series, _compose, _content_removed, _egf_quotient, _egf_scale, _egf_scaled,
+                     _egf_unscaled, _Frozen, _powers, _revert_compose, _scaled)
 
 __all__ = [
     "TriMatrix",
@@ -252,8 +253,12 @@ def multiply(a: ExpRiordan, b: ExpRiordan) -> ExpRiordan:
 
 def inverse(a: ExpRiordan) -> ExpRiordan:
     """Group inverse: [1/g(fbar), fbar] with fbar the compositional inverse."""
-    fbar, (g_fbar,) = _revert_compose(a.f, a.g)
-    return build(1 / g_fbar, fbar)
+    fbar, (h,) = _revert_compose(a.f, a.g)
+    # 1/h is one EGF quotient of the unit row by the EGF integers of h(d x),
+    # d its EGF scale; h_0 = g_0 = 1, so the quotient is an integer row.
+    d = _egf_scale(h.coeffs)
+    gbar = _egf_quotient([1] + [0] * h.order, _egf_scaled(h.coeffs, d))
+    return build(Series(tuple(_egf_unscaled(gbar, d))), fbar)
 
 
 def row_polynomials(a: ExpRiordan) -> tuple[tuple[Fraction, ...], ...]:

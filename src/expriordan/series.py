@@ -11,28 +11,28 @@ holds the EGF coefficients of g f^k / k!, which is column k of the array
 [g, f].  For g and f with integer EGF coefficients these are integers
 (f^k / k! has the partial Bell polynomials of f's coefficients as its EGF
 coefficients), so row k + 1, the binomial convolution of row k with f,
-divides exactly by k + 1; rational input becomes integer rows by the least
-scale d that makes every d^m m! c_m an integer.  The rows are series in
-y = x^s, for s the gcd of the exponents of the nonzero terms of g and f/x,
-and keep only the coefficients of x^(k+js): an odd f with an even g has
-s = 2 and a quarter of the row products.  Reversion solves g(f) = x, which
-is linear in g, by forward substitution on the rows k = 1 (mod s) of the
-table of f, each reached from the last by one step by f^s, then checks the
-other-sided identity f(g) = x exactly on a fresh table of g; it hands on
-that table, so composing other series with g needs no second one.  exp is
-the integer recurrence E' = u'E in exponential coordinates.  Division
-``a / b`` is long division on OGF numerators, scaled by (common denominator
-of b)^n; that integer long division, ``_quotient``, also runs the H-fraction
-and the J-fraction convergents of ``orthopoly``.  The one EGF quotient,
-A_m = sum_j C(m, j) Q_j B_(m-j) on integer rows, serves callers whose
-operands are EGF rows already: log, as (log s)' = s'/s and in EGF
-coordinates s' is s shifted one place (``production`` takes the Z-sequence
-(log g)'(fbar) through it), and the catalog's tan, sec, tanh and sech,
-quotients of the integer EGF rows of sin, cos, sinh and cosh.  It reads the
-divisor B only through its degree and its stride s, the gcd of the exponents
-of its terms: a divisor in x^s, as cos and cosh are in x^2, costs 1/s of the
-products.  The EGF views, derivatives and integrals make each coefficient's
-Fraction once.
+divides exactly by k + 1; rational input becomes integer rows by the scale
+d, the lcm of the denominators of the m! c_m, that makes every d^m m! c_m
+an integer.  The rows are series in y = x^s, for s the gcd of the exponents
+of the nonzero terms of g and f/x, and keep only the coefficients of
+x^(k+js): an odd f with an even g has s = 2 and a quarter of the row
+products.  Reversion solves g(f) = x, which is linear in g, by forward
+substitution on the rows k = 1 (mod s) of the table of f, each reached from
+the last by one step by f^s, then checks the other-sided identity f(g) = x
+exactly on a fresh table of g; it hands on that table, so composing other
+series with g needs no second one.  exp is the integer recurrence E' = u'E
+in exponential coordinates.  A Series divides only by a scalar: the one
+series quotient is the EGF quotient, A_m = sum_j C(m, j) Q_j B_(m-j) on
+integer rows, and its callers hold EGF rows already: log, as
+(log s)' = s'/s and in EGF coordinates s' is s shifted one place
+(``production`` takes the Z-sequence (log g)'(fbar) through it), the group
+inverse's 1/g(fbar) in ``riordan``, and the catalog's tan, sec, tanh and
+sech, quotients of the integer EGF rows of sin, cos, sinh and cosh.  It
+reads the divisor B only through its degree and its stride s, the gcd of
+the exponents of its terms: a divisor in x^s, as cos and cosh are in x^2,
+costs 1/s of the products.  The integer long division ``_quotient`` runs
+the H-fraction and the J-fraction convergents of ``orthopoly``.  The EGF
+views, derivatives and integrals make each coefficient's Fraction once.
 
 Binary operations require operands of equal order -- mixing orders would
 silently discard precision, so it raises instead.  Equality is strict too:
@@ -44,8 +44,8 @@ The exponential-coefficient view of the same jet is ``n! * c_n``; the two
 views convert exactly in both directions (:func:`from_egf`,
 :meth:`Series.egf`).
 
->>> 1 / (1 - x(4))              # 1/(1-x)
-Series((1, 1, 1, 1, 1))
+>>> log_series(1 + x(4))        # log(1+x)
+Series((0, 1, -1/2, 1/3, -1/4))
 >>> (1 + x(4)) * (1 - x(4))
 Series((1, 0, -1, 0, 0))
 >>> exp_series(x(5)).egf()
@@ -108,16 +108,6 @@ def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]
     bn, bd = _scaled(b, n)
     d = ad * bd
     return [Fraction(v, d) for v in _conv(an, bn, n)]
-
-
-def _div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    if b[0] == 0:
-        raise ZeroDivisionError("division by a series with zero constant term")
-    an, ad = _scaled(a, n)
-    bn, bd = _scaled(b, n)
-    t, p = _quotient(an, bn, n)
-    d = ad * p
-    return [Fraction(v * bd, d) for v in t]
 
 
 def _egf_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -195,11 +185,12 @@ def _powers(g: Sequence[Fraction], f: Sequence[Fraction], n: int) -> _Table:
     """The divided-power table (s, d, rows) of g and f, g[0] = 1 and
     f[0] = 0: row k = 0..n holds the EGF coefficients of g f^k / k! at x^m,
     m = k, k + s, ... <= n, each times d^m.  Row k is column k of [g, f], and
-    times k! it is term k of a composition.  d is the least scale that makes
-    the EGF coefficients of g(d x) and f(d x) integers (1 for integer ones),
-    and then every row is an integer row: the EGF coefficients of f^k / k!
-    are partial Bell polynomials in those of f, so row k + 1, the binomial
-    convolution of row k with f, divides exactly by k + 1.  s is the gcd of
+    times k! it is term k of a composition.  d, the lcm of the _egf_scale of
+    g and of f (1 for integer EGF coefficients), makes the EGF coefficients
+    of g(d x) and f(d x) integers, and then every row is an integer row: the
+    EGF coefficients of f^k / k! are partial Bell polynomials in those of f,
+    so row k + 1, the binomial convolution of row k with f, divides exactly
+    by k + 1.  s is the gcd of
     the exponents of the nonzero terms of g and f/x (1 when there are none),
     and row k holds only the terms of x^(k+js): an odd f with an even g has
     s = 2, and each row costs a quarter."""
@@ -236,8 +227,9 @@ def _integrate(a: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _egf_scale(a: Sequence[Fraction]) -> int:
-    """The lcm of the denominators of m! * a_m for m >= 1: the least D for
-    which every D^m * m! * a_m with m >= 1 is an integer."""
+    """The lcm of the denominators of m! * a_m for m >= 1, a D for which
+    every D^m * m! * a_m with m >= 1 is an integer.  It need not be the least
+    one: for a_m = 6^-m through x^16 it is 2^4 3^10, where 6 suffices."""
     dens = []
     f = 1
     for m, c in enumerate(a[1:], 1):
@@ -438,15 +430,8 @@ class Series(_Frozen):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["Series", Scalar]) -> "Series":
-        if isinstance(other, Series):
-            self._require_same_order(other)
-            return Series(tuple(_div(self.coeffs, other.coeffs, self.order)))
+    def __truediv__(self, other: Scalar) -> "Series":
         return self * (1 / Fraction(other))
-
-    def __rtruediv__(self, other: Scalar) -> "Series":
-        num = [Fraction(other)] + [Fraction(0)] * self.order
-        return Series(tuple(_div(num, self.coeffs, self.order)))
 
     def __pow__(self, k: int) -> "Series":
         if not isinstance(k, int) or k < 0:

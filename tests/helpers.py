@@ -2,11 +2,11 @@
 
 Everything here is deliberately independent of the implementation paths it
 checks: reversion is cross-checked by Lagrange inversion over schoolbook
-products; series division and the catalog's tan, sec, tanh and sech by
-schoolbook long division over Fractions, where the library runs long
-division on integer OGF numerators and the catalog the EGF quotient; exp
-by the ordinary-coefficient recurrence and log by long division and
-integration, where the library runs both on one integer recurrence in EGF
+products; quotients (the group inverse's 1/g(fbar), and the catalog's tan,
+sec, tanh and sech) by schoolbook long division over Fractions, where the
+library runs the EGF quotient on integer rows; exp by the
+ordinary-coefficient recurrence and log by long division and integration,
+where the library runs both on one integer recurrence in EGF
 coordinates; arrays, composition and the analytic production matrix by
 schoolbook loops over Fractions rather than the library's table of series
 powers; the (Z, A) pair by its definition, over Lagrange inversion,
@@ -38,7 +38,7 @@ from expriordan import catalog
 from expriordan.orthopoly import Recurrence
 from expriordan.production import JacobiParams, ZAPair, production_definitional, tridiagonal_params
 from expriordan.riordan import ExpRiordan, TriMatrix, build, from_rows, multiply
-from expriordan.series import Series, exp_series, one, pow_rational, series, x
+from expriordan.series import Series, exp_series, from_egf, one, pow_rational, series, x
 
 
 def lagrange_revert(f: Series) -> Series:
@@ -287,7 +287,8 @@ def jfraction_by_levels(m, depth: int) -> Recurrence:
     lam: list[Fraction] = []
     cur = series(m)
     for level in range(depth):
-        rem = 1 - 1 / cur  # equals b_k x + lambda_{k+1} x^2 * (next level)
+        # 1 - 1/cur equals b_k x + lambda_{k+1} x^2 * (next level)
+        rem = 1 - div_by_long_division(one(cur.order), cur)
         b.append(rem[1])
         tail = tuple(rem.coeffs[2:])
         lam_next = tail[0] if tail else Fraction(0)
@@ -394,9 +395,17 @@ def arctan_series(order: int) -> Series:
     return Series(tuple(Fraction((-1) ** (k // 2), k) if k % 2 else 0 for k in range(order + 1)))
 
 
+def sinh_series(order: int) -> Series:
+    return from_egf([k % 2 for k in range(order + 1)])
+
+
+def cosh_series(order: int) -> Series:
+    return from_egf([1 - k % 2 for k in range(order + 1)])
+
+
 def gd_series(order: int) -> Series:
     """Gudermannian gd(x) = arctan(sinh(x))."""
-    return arctan_series(order).compose(catalog.sinh_series(order))
+    return arctan_series(order).compose(sinh_series(order))
 
 
 def erf_integral_series(order: int) -> Series:
@@ -443,7 +452,7 @@ STATED_INVERSE_ZA = {
         .times_x(),
         lambda n: pow_rational(_poly([1, 0, 0, 0, 1], n), Fraction(5, 4)),
     ),
-    "gudermann": (catalog.sinh_series, catalog.cosh_series),
+    "gudermann": (sinh_series, cosh_series),
     "cos_sin": (
         lambda n: catalog.sec_series(n) * catalog.tan_series(n),
         catalog.sec_series,

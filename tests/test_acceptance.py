@@ -12,6 +12,7 @@ from fractions import Fraction as F
 from helpers import (
     NON_SIGMOID_IDS,
     derivative_closed_production,
+    div_by_long_division,
     gompertz_identities,
     random_riordan_pair,
     stirling2,
@@ -384,10 +385,10 @@ def test_criterion_7_group_law_suite():
 def test_criterion_8_documented_value_corrections():
     start = time.perf_counter()
     n = 10
-    # Shifted-logistic oracle: 1/(1+e^{-x}) - 1/2 computed by series division
-    # alone; independently, tanh(x/2)/2 by argument rescaling.  Both give
-    # x^5 EGF coefficient 1/4 (not 1/8).
-    logistic = 1 / (1 + expx_series(n, scale=-1)) - F(1, 2)
+    # Shifted-logistic oracle: 1/(1+e^{-x}) - 1/2 computed by schoolbook
+    # long division alone; independently, tanh(x/2)/2 by argument rescaling.
+    # Both give x^5 EGF coefficient 1/4 (not 1/8).
+    logistic = div_by_long_division(one(n), 1 + expx_series(n, scale=-1)) - F(1, 2)
     ok = logistic == tanh_series(n).scale_argument(F(1, 2)) / 2
     ok = ok and logistic.egf()[5] == F(1, 4)
 

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from helpers import (
     cf_to_ogf_by_levels,
     column,
+    div_by_long_division,
     hankel_det,
     hankel_formula_check,
     jfraction_by_determinants,
@@ -286,7 +287,8 @@ def block_sequences(draw, max_n=9):
         for j in reversed(range(len(ks))):
             # G_j = v_j x^k_j / (1 + u_(j+1)(x) x - x^(k_j+2) G_(j+1))
             den = series(([1] + us[j])[: order + 1], order)
-            tail = _monomial(vs[j], ks[j], order) / (den - _monomial(1, ks[j] + 2, order) * tail)
+            rest = den - _monomial(1, ks[j] + 2, order) * tail
+            tail = div_by_long_division(_monomial(vs[j], ks[j], order), rest)
         seq = list(tail.coeffs)
         # h_n != 0 exactly at n = s_(j+1) - 1, s_(j+1) = (k_0 + 1) + ... + (k_j + 1)
         nonzero = {s - 1 for s in accumulate(k + 1 for k in ks) if s - 1 <= n}

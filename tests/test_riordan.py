@@ -137,13 +137,19 @@ def test_rational_divided_power_tables_match_naive_oracles(gfs, uvs, r):
     u, v = (Series(t.coeffs[: n + 1] + (F(0),) * (n - t.order)) for t in (u, v))
     found, d, _ = _powers(g.coeffs, f.coeffs, n)
     assert found % s == 0 and d > 1
-    assert [list(row) for row in build(g, f).matrix.rows] == naive_build(g, f)
+    a = build(g, f)
+    assert [list(row) for row in a.matrix.rows] == naive_build(g, f)
     assert g.compose(f) == naive_compose(g, f)
     assert u.compose(f) == naive_compose(u, f)
-    ab = multiply(build(g, f), build(u, v))
+    ab = multiply(a, build(u, v))
     assert (ab.g, ab.f) == (naive_mul(g, naive_compose(u, f)), naive_compose(v, f))
-    assert f.revert() == lagrange_revert(f)
+    fbar = lagrange_revert(f)
+    assert f.revert() == fbar
     assert (f * r).revert() == lagrange_revert(f * r)
+    # The group inverse [1/g(fbar), fbar], an EGF quotient in x/d.
+    inv = inverse(a)
+    assert (inv.g, inv.f) == (div_by_long_division(one(n), naive_compose(g, fbar)), fbar)
+    assert multiply(a, inv) == build(one(n), x(n))
 
 
 def test_pascal_triangle():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from conftest import jets, mixed_jets, mixed_rationals, sigmoid_like, small_rationals, units
 from helpers import (
     agrees_to,
+    cosh_series,
     div_by_long_division,
     egf_convolution,
     euler_numbers,
@@ -18,6 +19,7 @@ from helpers import (
     log_by_integration,
     naive_compose,
     naive_mul,
+    sinh_series,
 )
 
 from expriordan.series import (
@@ -34,13 +36,9 @@ from expriordan.series import (
 from expriordan import catalog
 from expriordan.catalog import (
     artanh_series,
-    cos_series,
-    cosh_series,
     expx_series,
-    log1p_series,
     sech_series,
     sin_series,
-    sinh_series,
     tanh_series,
 )
 from expriordan.production import za_sequences
@@ -100,12 +98,13 @@ def test_difference_of_squares():
 
 def test_geometric_division():
     n = 6
-    assert 1 / (1 - x(n)) == series([1] * (n + 1))
+    assert div_by_long_division(one(n), 1 - x(n)) == series([1] * (n + 1))
 
 
 def test_division_by_zero_constant_raises():
+    # A Series divides only by a scalar, and by zero it raises.
     with pytest.raises(ZeroDivisionError):
-        one(3) / x(3)
+        one(3) / 0
 
 
 @given(st.integers(0, 6).flatmap(mixed_jets))
@@ -144,29 +143,12 @@ def test_ring_axioms(a, b, c):
 @given(a=jets(6), b=units(6))
 @settings(max_examples=40)
 def test_division_inverts_multiplication(a, b):
-    assert (a * b) / b == a
+    assert div_by_long_division(a * b, b) == a
 
 
 _non_integers = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(
     lambda q: q.denominator > 1
 )
-
-
-def _divisors(order: int):
-    """Order-N jets with b_0 != 0, of four kinds: factorial denominators
-    (integer EGF coefficients, b_0 = 1: cosh, cos and sec are of this kind),
-    sparse integer polynomials (1 - x - x^2), either kind times a constant
-    b_0 != 1, and mixed denominators with any nonzero b_0."""
-    egf = st.lists(st.integers(-3, 3), min_size=order, max_size=order).map(
-        lambda cs: from_egf([1, *cs])
-    )
-    sparse = st.lists(st.integers(-2, 2), max_size=3).map(
-        lambda cs: series([1, *cs][: order + 1], order=order)
-    )
-    scaled = st.tuples(st.one_of(egf, sparse), small_rationals.filter(lambda c: c not in (0, 1)))
-    nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
-    mixed = st.tuples(nonzero, mixed_jets(order)).map(lambda t: Series((t[0], *t[1].coeffs[1:])))
-    return st.one_of(egf, sparse, scaled.map(lambda t: t[0] * t[1]), mixed)
 
 
 def _dividends(order: int):
@@ -178,69 +160,33 @@ def _dividends(order: int):
     return st.one_of(plain, shifted)
 
 
-def _check_division(a: Series, b: Series) -> None:
-    q = a / b
-    assert q.coeffs == div_by_long_division(a, b).coeffs
-    assert naive_mul(q, b) == a
-    c = a[0]
-    assert (c / b).coeffs == div_by_long_division(c * one(a.order), b).coeffs
-
-
-@given(data=st.data(), order=st.integers(min_value=0, max_value=24))
-@settings(max_examples=150, deadline=None)
-def test_division_matches_long_division(data, order):
-    _check_division(data.draw(_dividends(order)), data.draw(_divisors(order)))
-
-
-# Higher orders, where the OGF scales of the factorial-denominator divisors
-# run to thousands of bits.
-@given(data=st.data(), order=st.integers(min_value=25, max_value=48))
-@settings(max_examples=25, deadline=None)
-def test_division_matches_long_division_at_higher_orders(data, order):
-    _check_division(data.draw(_dividends(order)), data.draw(_divisors(order)))
-
-
 def test_division_routing(monkeypatch):
-    # `/` is OGF long division for every divisor, the EGF-natural ones too;
-    # the catalog's quotients take the EGF quotient once and never `/`.
-    mod = importlib.import_module("expriordan.series")
-    calls = []
+    # Every series quotient is the EGF quotient, taken once: the catalog's
+    # four and the group inverse's 1/g(fbar).
+    riordan = importlib.import_module("expriordan.riordan")
+    calls, kernel = [], catalog._egf_quotient
 
-    def count(module, name):
-        kernel = getattr(module, name)
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
 
-        def counted(*args):
-            calls.append(name)
-            return kernel(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(mod, "_div")
-    count(mod, "_egf_quotient")
-    count(catalog, "_egf_quotient")
-    gompertz = series([1, 1], order=64) * (1 - log1p_series(64))
-    cases = [
-        (sinh_series(64), cosh_series(64)),
-        (F(1, 3) + sinh_series(64), cosh_series(64)),
-        (one(64), cos_series(64)),
-        (one(64), gompertz),
-        (one(64), series([1, -1, -1], order=64)),
-    ]
-    for a, b in cases:
-        calls.clear()
-        assert (a / b).coeffs == div_by_long_division(a, b).coeffs
-        assert calls == ["_div"], b.coeffs[:3]
+    monkeypatch.setattr(catalog, "_egf_quotient", counted)
+    monkeypatch.setattr(riordan, "_egf_quotient", counted)
     for quotient in (catalog.tan_series, catalog.sec_series, tanh_series, sech_series):
         calls.clear()
         quotient(64)
-        assert calls == ["_egf_quotient"], quotient.__name__
+        assert len(calls) == 1, quotient.__name__
+    arr = riordan.build(*catalog.pair("gompertz", 24))
+    calls.clear()
+    riordan.inverse(arr)
+    assert len(calls) == 1
 
 
 @given(data=st.data(), n=st.integers(min_value=0, max_value=12))
 @settings(max_examples=100, deadline=None)
 def test_integer_long_division_matches_long_division(data, n):
-    # The long division that _div and the H-fraction share, on integer rows
-    # as _hfraction passes them: a non-unit leading coefficient of either
+    # The long division of the H-fraction and cf_to_ogf, on integer rows as
+    # _hfraction passes them: a non-unit leading coefficient of either
     # sign, and a divisor that runs past x^n.
     an = data.draw(st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 6))
     b0 = data.draw(st.integers(2, 12)) * data.draw(st.sampled_from((1, -1)))
@@ -636,7 +582,7 @@ def test_half_tanh_half_x_expansion():
     # rescaled tanh series.  Both force the x^5 EGF coefficient to 1/4; a
     # sometimes-quoted value of 1/8 is ruled out by either oracle.
     n = 10
-    logistic = 1 / (1 + expx_series(n, scale=-1)) - F(1, 2)
+    logistic = div_by_long_division(one(n), 1 + expx_series(n, scale=-1)) - F(1, 2)
     rescaled = tanh_series(n).scale_argument(F(1, 2)) / 2
     assert logistic == rescaled
     egf = logistic.egf()

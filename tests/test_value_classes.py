@@ -133,6 +133,11 @@ def test_constructors_normalize_to_fractions():
     assert all(type(v) is F for v in (*rec.b, *rec.lam))
     s = Series(coeffs=[1, F(1, 2)])
     assert type(s.coeffs) is tuple and all(type(c) is F for c in s.coeffs)
+    # A Series divides by a scalar only; there is no series-by-series `/`.
+    assert s / 2 == Series([F(1, 2), F(1, 4)])
+    for quotient in (lambda: s / s, lambda: 1 / s):
+        with pytest.raises(TypeError):
+            quotient()
     m = TriMatrix([[1, 2], [3, 4]])
     assert m.rows == ((F(1), F(2)), (F(3), F(4)))
 

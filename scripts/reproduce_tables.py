@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-"""Print every headline matrix and sequence in one run.
-
-Usage: python scripts/reproduce_tables.py [--order N]
-"""
-
-import argparse
+"""Print every headline matrix and sequence in one run."""
 
 from expriordan.catalog import expx_series, ids, inverse_pair, pair
 from expriordan.orthopoly import hankel_transform, jfraction
 from expriordan.production import production_definitional, tridiagonal_params
 from expriordan.riordan import build, format_polynomial, row_polynomials
 from expriordan.series import one
+
+ORDER = 16  # the arrays' jet order; any order >= 7 gives the same 7x7 blocks
 
 
 def show(title: str, body: str) -> None:
@@ -20,13 +17,8 @@ def show(title: str, body: str) -> None:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--order", type=int, default=16)
-    args = ap.parse_args()
-    n = args.order
-
     for eid in ids():
-        arr = build(*pair(eid, n))
+        arr = build(*pair(eid, ORDER))
         show(f"array [{eid}], leading 7x7", arr.matrix.leading(7).render_text())
         p = production_definitional(arr)
         params = tridiagonal_params(p)
@@ -42,7 +34,7 @@ def main() -> int:
     stirling = build(one(6), expx_series(6) - 1).matrix
     show("Stirling set-number triangle", stirling.render_text())
 
-    inv_prod = production_definitional(build(*inverse_pair("cos_sin", n)))
+    inv_prod = production_definitional(build(*inverse_pair("cos_sin", ORDER)))
     show("production of [cos, sin]^{-1}, leading 7x7", inv_prod.leading(7).render_text())
 
     polys = row_polynomials(build(*pair("algebraic", 6)))

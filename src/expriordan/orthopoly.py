@@ -6,17 +6,16 @@ A :class:`Recurrence` holds the data (b_k, lambda_k) of the monic family
     P_0 = 1,   P_1 = x - b_0,   P_n = (x - b_{n-1}) P_{n-1} - lambda_{n-1} P_{n-2}.
 
 "Formally orthogonal" is meant literally: lambda_k may be zero or negative.
-The recurrence runs once, on integer numerators, for the coefficient array
-and, reversed, for the J-fraction convergents that give the moments: with d
-the denominator's scale, both reversed rows are integer rows in y = x/d, the
-denominator's constant term is 1, and a convergent is one integer long
-division (``series._quotient``) in y, each coefficient made a Fraction once.
-Going
-back, the Hankel transform h_n = det(m_{i+j}) and the J-fraction of a moment
-sequence are read off one expansion of its generating function as a Hankel
-continued fraction (Han's H-fraction), on integer rows, which gives every
-h_n, vanishing minors included; a J-fraction is an H-fraction whose levels
-all have k_j = 0.
+The recurrence runs once, on integer numerators, for the coefficient array.
+The moments come from the production matrix instead: they are the first
+column of the Stieltjes table, the array whose production matrix is the
+tridiagonal Jacobi matrix of the data, grown one row at a time on integer
+numerators over the data's common denominator, each moment made a Fraction
+once.  Going back, the Hankel transform h_n = det(m_{i+j}) and the
+J-fraction of a moment sequence are read off one expansion of its
+generating function as a Hankel continued fraction (Han's H-fraction), on
+integer rows, which gives every h_n, vanishing minors included; a
+J-fraction is an H-fraction whose levels all have k_j = 0.
 """
 
 from __future__ import annotations
@@ -62,31 +61,26 @@ def recurrence_from_jacobi(params, n: int) -> Recurrence:
     )
 
 
-def _monic_numerators(b: tuple, lam: tuple, n: int) -> tuple[list[list[int]], int]:
-    """Integer rows of Q_k(y) = d^k P_k(y/d), k = 0..n, and d.  With d the lcm
-    of the denominators, Q_{k+1} = (y - d b_k) Q_k - d^2 lambda_k Q_{k-1}."""
-    b, lam = b[:n], lam[: max(n - 1, 0)]
-    nums, d = _scaled((*b, *lam), len(b) + len(lam) - 1)
-    db, d2lam = nums[: len(b)], [0] + [v * d for v in nums[len(b) :]]  # lambda_0 = 0
-    rows = [[], [1]]  # Q_{-1} = 0, Q_0 = 1
-    for bk, lk in zip(db, d2lam):
-        q, q1 = rows[-1], rows[-2]
-        rows.append([s - bk * c - lk * e for s, c, e in zip([0] + q, q + [0], q1 + [0, 0])])
-    return rows[1:], d
-
-
 def _require_degree(rec: Recurrence, n: int) -> None:
     if not 0 <= n <= len(rec.b) or n - 1 > len(rec.lam):
         raise ValueError(f"recurrence data too short for degree {n}")
 
 
 def coefficient_array(rec: Recurrence, n: int) -> TriMatrix:
-    """Rows 0..n hold the coefficients of the monic polynomials P_0..P_n."""
+    """Rows 0..n hold the coefficients of the monic polynomials P_0..P_n.
+    With d the lcm of the data's denominators, the integer rows of
+    Q_k(y) = d^k P_k(y/d) satisfy Q_{k+1} = (y - d b_k) Q_k - d^2 lambda_k Q_{k-1}."""
     _require_degree(rec, n)
-    rows, d = _monic_numerators(rec.b, rec.lam, n)
+    b, lam = rec.b[:n], rec.lam[: max(n - 1, 0)]
+    nums, d = _scaled((*b, *lam), len(b) + len(lam) - 1)
+    db, d2lam = nums[:n], [0] + [v * d for v in nums[n:]]  # lambda_0 = 0
+    rows = [[], [1]]  # Q_{-1} = 0, Q_0 = 1
+    for bk, lk in zip(db, d2lam):
+        q, q1 = rows[-1], rows[-2]
+        rows.append([s - bk * c - lk * e for s, c, e in zip([0] + q, q + [0], q1 + [0, 0])])
     scale = [d**i for i in range(n + 1)]
     return from_rows(
-        [[Fraction(c, scale[k - j]) for j, c in enumerate(row)] for k, row in enumerate(rows)]
+        [[Fraction(c, scale[k - j]) for j, c in enumerate(row)] for k, row in enumerate(rows[1:])]
     )
 
 
@@ -193,27 +187,29 @@ def cf_to_ogf(rec: Recurrence, order: int, depth: int | None = None) -> Series:
     1 / (1 - b_0 x - lambda_1 x^2 / (1 - b_1 x - lambda_2 x^2 / (...)))
 
     using levels 0..depth-1 of ``rec``, lambda_depth when present, and tail 1;
-    correct to order >= 2*depth - 1.  That is the depth+1 convergent with
-    b_depth = 0: the reversed associated polynomial (the data shifted by one
-    level) over the reversed P_{depth+1} (Flajolet, Discrete Math. 32, 1980).
+    correct to order >= 2*depth - 1.  Its coefficients are the first column
+    of the Stieltjes table, whose production matrix is the Jacobi matrix J
+    with 1 above the diagonal, b_0..b_(depth-1), 0 on it and lambda_1..
+    lambda_depth below it (Flajolet, Discrete Math. 32, 1980): R_0 = (1),
+    R_(i+1) = R_i J and m_i = R_i[0].  With d the data's common denominator,
+    d^i R_i is an integer row, of which only the entries k <= order - i
+    reach m_order; those are the ones kept.
     """
     if depth is None:
         depth = len(rec.b)
     if not 0 <= depth <= len(rec.b):
         raise ValueError(f"depth {depth} is outside 0..{len(rec.b)}")
-    b = rec.b[:depth] + (Fraction(0),)
-    lam = (rec.lam + (Fraction(0),) * depth)[:depth]
-    # x^n P_n(1/x) is the reversed row of Q_n = d^n P_n(y/d) in y = x/d.  The
-    # numerator's data is a subset of the denominator's, so its own scale e
-    # divides d, and its row in y = x/d takes (d/e)^i at y^i.  The
-    # denominator's constant term is 1: the long division is exact.
-    den, d = _monic_numerators(b, lam, depth + 1)
-    num, e = _monic_numerators(b[1:], lam[1:], depth)
-    pad = [0] * order
-    r = [c * (d // e) ** i for i, c in enumerate(num[depth][::-1])]
-    t, _ = _quotient(r + pad, den[depth + 1][::-1] + pad, order)
-    out, p = [], 1
-    for v in t:
-        out.append(Fraction(v, p))
+    lam = rec.lam[:depth]
+    nums, d = _scaled((*rec.b[:depth], *lam), depth + len(lam) - 1)
+    # d b_k and d lambda_(k+1) for k = 0..depth: b_depth = 0, lambda_(depth+1) = 0.
+    db, dlam = nums[:depth] + [0], nums[depth:] + [0] * (depth + 1 - len(lam))
+    row, out, p = [1], [], 1
+    for i in range(order + 1):
+        out.append(Fraction(row[0], p))
         p *= d
+        r = row + [0, 0]
+        row = [
+            d * u + bk * c + lk * e
+            for u, c, e, bk, lk in zip([0] + row, r, r[1:], db[: order - i], dlam)
+        ]
     return Series(tuple(out))

@@ -31,8 +31,8 @@ sech, quotients of the integer EGF rows of sin, cos, sinh and cosh.  It
 reads the divisor B only through its degree and its stride s, the gcd of
 the exponents of its terms: a divisor in x^s, as cos and cosh are in x^2,
 costs 1/s of the products.  The integer long division ``_quotient`` runs
-the H-fraction and the J-fraction convergents of ``orthopoly``.  The EGF
-views, derivatives and integrals make each coefficient's Fraction once.
+only the H-fraction of ``orthopoly``.  The EGF views, derivatives and
+integrals make each coefficient's Fraction once.
 
 Binary operations require operands of equal order -- mixing orders would
 silently discard precision, so it raises instead.  Equality is strict too:

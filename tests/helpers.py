@@ -13,11 +13,12 @@ powers; the (Z, A) pair by its definition, over Lagrange inversion,
 schoolbook composition and long division; the derivative subgroup's
 production matrix by its closed form U . [1/fbar', x]
 (``derivative_closed_production``), built from those schoolbook pieces
-alone; moments by the Jacobi-matrix recurrence; Hankel determinants by
-Gaussian elimination over Fractions; J-fraction coefficients by determinant
-ratios and by peeling one level per series division; J-fraction expansions
-by one schoolbook long division per level, where the library makes one
-integer long division of a convergent's two rows; matrix products,
+alone; the inverse coefficient array's first column by the Jacobi-matrix
+recurrence over Fractions; Hankel determinants by Gaussian elimination over
+Fractions; J-fraction coefficients by determinant ratios and by peeling one
+level per series division; J-fraction expansions and moments by one
+schoolbook long division per level, where the library runs the Jacobi
+matrix's Stieltjes table on integer rows; matrix products,
 triangular solves and matrix powers by schoolbook products; and so on.  The catalog's f and the
 inverse side's (Z, A) are stated in closed forms other than the ones the
 catalog computes.  The derivative-subgroup and checkerboard predicates and

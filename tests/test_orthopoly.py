@@ -129,12 +129,12 @@ def test_identity_recurrence_moments():
 
 def test_gompertz_moments():
     # The J-fraction expansion of the family; cross-checked below by the
-    # Jacobi-recurrence route and by the series expansion of the first
-    # catalog column.  A sometimes-quoted "1, 0, -1, 12, -9, 9" is a
-    # corruption of these values.
+    # per-level continued fraction at depth 3 and by the series expansion of
+    # the first catalog column.  A sometimes-quoted "1, 0, -1, 12, -9, 9" is
+    # a corruption of these values.
     got = moments(GOMPERTZ_REC, 6)
     assert got == (1, 0, -1, 1, 2, -9, 9)
-    assert got == moments_by_jacobi_recurrence(GOMPERTZ_REC, 6)
+    assert got == cf_to_ogf_by_levels(GOMPERTZ_REC, 6, 3).coeffs
     g, _ = pair("gompertz", 6)
     assert got == g.egf()
 
@@ -151,9 +151,11 @@ def test_gompertz_p1_is_monic():
 )
 @settings(max_examples=30, deadline=None)
 def test_moment_routes_agree(b, lam):
+    # moments stops at depth ceil(n/2); the oracle runs every level up to n.
     rec = Recurrence(b=tuple(b), lam=tuple(lam))
     for n in range(9):
-        assert moments(rec, n) == moments_by_jacobi_recurrence(rec, n)
+        want = cf_to_ogf_by_levels(rec, max(n, 2), n).truncate(n)
+        assert moments(rec, n) == want.coeffs
 
 
 def test_moments_require_enough_data():
@@ -496,9 +498,9 @@ def test_cf_to_ogf_catalan():
 )
 @settings(max_examples=40, deadline=None)
 def test_cf_to_ogf_with_one_fractional_head_term(b, lam, head, on_lambda):
-    # Only b_0 or lambda_1 carries a denominator: both lie in the convergent's
-    # denominator data and not in its numerator's, so the two rows' own
-    # scales differ.
+    # Only b_0 or lambda_1 carries a denominator: the Stieltjes table's scale
+    # d comes from one entry of the Jacobi matrix, at level 0, and scales the
+    # integer data of every deeper level too.
     b, lam = list(map(F, b)), list(map(F, lam))
     if on_lambda:
         lam[0] = head
@@ -514,6 +516,8 @@ def test_cf_to_ogf_low_orders():
     rec = Recurrence(b=(0, 0), lam=(1,))
     assert cf_to_ogf(rec, 0).coeffs == (1,)
     assert cf_to_ogf(rec, 1).coeffs == (1, 0)
+    with pytest.raises(ValueError, match="constant coefficient"):
+        cf_to_ogf(rec, -1)
     with pytest.raises(ValueError, match="depth 3"):
         cf_to_ogf(rec, 4, 3)
 

@@ -185,7 +185,7 @@ def test_division_routing(monkeypatch):
 @given(data=st.data(), n=st.integers(min_value=0, max_value=12))
 @settings(max_examples=100, deadline=None)
 def test_integer_long_division_matches_long_division(data, n):
-    # The long division of the H-fraction and cf_to_ogf, on integer rows as
+    # The long division of the H-fraction, on integer rows as
     # _hfraction passes them: a non-unit leading coefficient of either
     # sign, and a divisor that runs past x^n.
     an = data.draw(st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 6))
